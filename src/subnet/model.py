@@ -13,7 +13,9 @@ outputs: ``[u_{n-1}, ..., u_{n-n_b}, y_{n-1}, ..., y_{n-n_a}]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,23 +24,22 @@ from .errors import InvalidArgumentError, NumericFaultError
 from .nnmath import (
     Array,
     FlatParams,
-    MLPGrads,
+    Layout,
     MLPParams,
-    flatten_mlp,
     mlp_backward_cached,
     mlp_forward,
     mlp_forward_cached,
     mlp_init,
-    unflatten_mlp,
 )
 from .ode import SolverConfig, mlp_ode_step_backward, mlp_ode_step_cached, mlp_ode_step_plain
 
-_PREFIXES = ("f.", "h.", "psi.")
+_NETS = ("f", "h", "psi")
 
 
 @dataclass(frozen=True)
 class SubnetModel:
-    """Immutable bundle of the three networks plus solver and normalization."""
+    """The three networks plus solver and normalization.  All parameters live in
+    one new vector ``values`` (f | h | psi); the networks are views into it."""
 
     f_net: MLPParams
     h_net: MLPParams
@@ -51,6 +52,7 @@ class SubnetModel:
     n_b: int
     norm: NormStats
     mode: str = "ct"
+    values: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("ct", "dt"):
@@ -74,10 +76,36 @@ class SubnetModel:
                 )
         if (len(self.norm.u_mean), len(self.norm.y_mean)) != (self.n_u, self.n_y):
             raise InvalidArgumentError("normalization stats do not match channel counts")
+        _bind(self, np.concatenate([self.f_net.values, self.h_net.values, self.psi_net.values]))
 
     @property
     def lag(self) -> int:
         return max(self.n_a, self.n_b)
+
+    @property
+    def segments(self) -> dict[str, slice]:
+        """Slices of ``values`` holding the f, h and psi networks."""
+        nf, nh = self.f_net.n_params, self.h_net.n_params
+        return {"f": slice(0, nf), "h": slice(nf, nf + nh), "psi": slice(nf + nh, self.values.size)}
+
+    @cached_property
+    def layout(self) -> Layout:
+        """Segment names (prefixed 'f.', 'h.', 'psi.') and shapes of ``values``."""
+        return tuple((f"{prefix}.{name}", shape)
+                     for prefix, net in zip(_NETS, (self.f_net, self.h_net, self.psi_net))
+                     for name, shape in net.layout)
+
+
+def _net_views(m: SubnetModel, values: Array) -> tuple[MLPParams, MLPParams, MLPParams]:
+    """``m``'s f, h and psi networks as views into ``values``; no copy, no checks."""
+    return tuple(MLPParams.over(values[sl], net.layout)
+                 for sl, net in zip(m.segments.values(), (m.f_net, m.h_net, m.psi_net)))
+
+
+def _bind(m: SubnetModel, values: Array) -> None:
+    object.__setattr__(m, "values", values)
+    for name, net in zip(_NETS, _net_views(m, values)):
+        object.__setattr__(m, f"{name}_net", net)
 
 
 def init_model(
@@ -184,7 +212,7 @@ def _step_plain(m: SubnetModel, x: Array, u: Array) -> Array:
     return mlp_forward_cached(m.f_net, np.concatenate([x, u], axis=1))[0]
 
 
-def _step_backward(m: SubnetModel, cache, g_next: Array, acc: MLPGrads) -> Array:
+def _step_backward(m: SubnetModel, cache, g_next: Array, acc: MLPParams) -> Array:
     if m.mode == "ct":
         return mlp_ode_step_backward(m.f_net, cache, g_next, m.n_x, m.solver, acc)
     return mlp_backward_cached(m.f_net, cache, g_next, acc)[:, :m.n_x]
@@ -238,9 +266,9 @@ def _sim_forward_cached(m: SubnetModel, x0: Array, u_steps: Array, ns=None):
     return states, outputs, h_caches, step_caches
 
 
-def _sim_backward(m: SubnetModel, h_caches, step_caches, g_outputs: Array):
-    """Reverse pass; returns (dL/dx0, f-grads, h-grads) for the batch."""
-    f_acc, h_acc = MLPGrads(m.f_net), MLPGrads(m.h_net)
+def _sim_backward(m: SubnetModel, h_caches, step_caches, g_outputs: Array,
+                  f_acc: MLPParams, h_acc: MLPParams) -> Array:
+    """Reverse pass; adds the f and h grads into the accumulators, returns dL/dx0."""
     T = g_outputs.shape[1]
     g_x = None
     for k in range(T - 1, -1, -1):
@@ -251,7 +279,7 @@ def _sim_backward(m: SubnetModel, h_caches, step_caches, g_outputs: Array):
     if g_x is None:  # T == 0
         B = 1 if not h_caches else h_caches[0][0].shape[0]
         g_x = np.zeros((B, m.n_x))
-    return g_x, f_acc, h_acc
+    return g_x
 
 
 def simulate_subsection(m: SubnetModel, ds: Dataset, n: int, T: int) -> SubsectionResult:
@@ -308,40 +336,17 @@ def _check_channels(m: SubnetModel, ds: Dataset) -> None:
 
 
 def model_flatten(m: SubnetModel) -> FlatParams:
-    """Concatenated parameter vector of (f, h, psi), segment names prefixed."""
-    parts = [flatten_mlp(m.f_net, "f."), flatten_mlp(m.h_net, "h."),
-             flatten_mlp(m.psi_net, "psi.")]
-    values = np.concatenate([p.values for p in parts])
-    layout = tuple(entry for p in parts for entry in p.layout)
-    return FlatParams(values, layout)
+    """Owned copy of the parameter vector (f | h | psi), segment names prefixed."""
+    return FlatParams(m.values.copy(), m.layout)
 
 
 def model_with_values(m: SubnetModel, values: Array) -> SubnetModel:
-    """New model with all three networks rebuilt from a flat vector."""
-    flat = model_flatten(m)
-    if values.shape != flat.values.shape:
+    """New model with ``m``'s structure over a copy of a flat vector."""
+    values = np.array(values, dtype=np.float64)
+    if values.shape != m.values.shape:
         raise InvalidArgumentError("flat vector length does not match the model")
-    nets = {}
-    off = 0
-    for prefix, net in zip(_PREFIXES, (m.f_net, m.h_net, m.psi_net)):
-        seg = flatten_mlp(net, prefix)
-        n = seg.values.size
-        nets[prefix] = unflatten_mlp(FlatParams(values[off:off + n], seg.layout), prefix)
-        off += n
-    return replace(m, f_net=nets["f."], h_net=nets["h."], psi_net=nets["psi."])
-
-
-def segment_mask(m: SubnetModel, trainable: tuple[str, ...]) -> Array:
-    """Boolean mask over the flat vector selecting the named networks ('f','h','psi')."""
-    unknown = set(trainable) - {"f", "h", "psi"}
-    if unknown:
-        raise InvalidArgumentError(f"unknown network names: {sorted(unknown)}")
-    flat = model_flatten(m)
-    mask = np.zeros(flat.values.size, dtype=bool)
-    off = 0
-    for name, shape in flat.layout:
-        size = int(np.prod(shape))
-        if name.split(".", 1)[0] in trainable:
-            mask[off:off + size] = True
-        off += size
-    return mask
+    if not np.isfinite(values).all():
+        raise InvalidArgumentError("non-finite parameter entries")
+    out = copy.copy(m)
+    _bind(out, values)
+    return out

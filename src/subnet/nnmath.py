@@ -1,9 +1,12 @@
 """Dense tanh feedforward networks with exact reverse-mode gradients and Adam.
 
-Everything is plain float64 numpy.  Parameters are immutable value objects;
-forward/backward are pure functions, so sharing parameters across threads is
-safe.  Functions accept a single input vector ``(n,)`` or a batch ``(B, n)``
-and return matching shapes.
+Everything is plain float64 numpy.  A network's parameters live in one flat
+vector (``MLPParams.values``); its weights, biases and bypass are reshaped
+views into it, and a gradient accumulator is the same views over a zeroed
+vector.  Forward/backward write only into the accumulator.  :func:`adam_step`
+updates a vector in place: ``training.train`` updates its own live model that
+way and writes no other model.  Functions accept a single input vector
+``(n,)`` or a batch ``(B, n)`` and return matching shapes.
 
 Weight convention: layer ``i`` computes ``a @ W_i.T + b_i`` with ``W_i`` of
 shape ``(fan_out, fan_in)``.  The optional linear bypass has shape
@@ -14,13 +17,17 @@ row-major.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericFaultError
 
 Array = np.ndarray
+# (name, shape) of each segment of a flat vector, in order
+Layout = tuple[tuple[str, tuple[int, ...]], ...]
 
 
 # --------------------------------------------------------------------------
@@ -28,13 +35,30 @@ Array = np.ndarray
 # --------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=256)
+def mlp_layout(layer_sizes: tuple[int, ...], with_bypass: bool) -> Layout:
+    """Segments of an MLP's flat vector: W0, b0, W1, b1, ..., bypass."""
+    layout = []
+    for i, (fan_in, fan_out) in enumerate(zip(layer_sizes[:-1], layer_sizes[1:])):
+        layout += [(f"W{i}", (fan_out, fan_in)), (f"b{i}", (fan_out,))]
+    if with_bypass:
+        layout.append(("bypass", (layer_sizes[0], layer_sizes[-1])))
+    return tuple(layout)
+
+
 @dataclass(frozen=True)
 class MLPParams:
-    """Weights of one tanh MLP, optionally with a linear input->output bypass."""
+    """Weights of one tanh MLP, optionally with a linear input->output bypass.
+
+    The constructor checks the arrays, copies them into one new vector
+    ``values`` and keeps reshaped views into it.  :meth:`over` builds the
+    same views over an existing vector without copying or checking.
+    """
 
     weights: tuple[Array, ...]
     biases: tuple[Array, ...]
     bypass: Array | None = None
+    values: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.weights) == 0 or len(self.weights) != len(self.biases):
@@ -44,16 +68,37 @@ class MLPParams:
                 raise InvalidArgumentError(f"layer {i}: weight/bias shapes do not compose")
             if i > 0 and w.shape[1] != self.weights[i - 1].shape[0]:
                 raise InvalidArgumentError(f"layer {i}: fan_in does not match previous fan_out")
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise InvalidArgumentError(f"layer {i}: non-finite parameter entries")
+        arrays = [a for wb in zip(self.weights, self.biases) for a in wb]
         if self.bypass is not None:
             if self.bypass.shape != (self.input_dim, self.output_dim):
                 raise InvalidArgumentError(
                     f"bypass must be (input_dim, output_dim)=({self.input_dim}, {self.output_dim}),"
                     f" got {self.bypass.shape}"
                 )
-            if not np.isfinite(self.bypass).all():
-                raise InvalidArgumentError("bypass has non-finite entries")
+            arrays.append(self.bypass)
+        values = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+        if not np.isfinite(values).all():
+            raise InvalidArgumentError("non-finite parameter entries")
+        self._bind(values, self.layout)
+
+    @classmethod
+    def over(cls, values: Array, layout: Layout) -> "MLPParams":
+        """Views into ``values`` laid out as ``layout``; no copy, no checks."""
+        p = cls.__new__(cls)
+        p._bind(values, layout)
+        return p
+
+    def _bind(self, values: Array, layout: Layout) -> None:
+        segs, off = [], 0
+        for _, shape in layout:
+            n = math.prod(shape)
+            segs.append(values[off:off + n].reshape(shape))
+            off += n
+        n_layers = len(layout) // 2
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "weights", tuple(segs[0:2 * n_layers:2]))
+        object.__setattr__(self, "biases", tuple(segs[1:2 * n_layers:2]))
+        object.__setattr__(self, "bypass", segs[-1] if len(layout) % 2 else None)
 
     @property
     def input_dim(self) -> int:
@@ -68,88 +113,34 @@ class MLPParams:
         return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
 
     @property
+    def layout(self) -> Layout:
+        return mlp_layout(tuple(self.layer_sizes), self.bypass is not None)
+
+    @property
     def n_params(self) -> int:
-        n = sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-        return n + (self.bypass.size if self.bypass is not None else 0)
+        return self.values.size
 
 
 @dataclass(frozen=True)
 class FlatParams:
-    """A parameter vector plus the layout needed to rebuild the structure.
-
-    ``layout`` is an ordered tuple of ``(name, shape)`` pairs; the vector is
-    the concatenation of the row-major ravel of each segment.
-    """
+    """A parameter vector plus its layout (segment names and shapes, in order)."""
 
     values: Array
-    layout: tuple[tuple[str, tuple[int, ...]], ...]
-
-    def __post_init__(self):
-        expected = sum(int(np.prod(shape)) for _, shape in self.layout)
-        if self.values.ndim != 1 or self.values.size != expected:
-            raise InvalidArgumentError(
-                f"flat vector length {self.values.size} does not match layout total {expected}"
-            )
-
-    def segment(self, name: str) -> slice:
-        """Slice of ``values`` occupied by the named segment."""
-        off = 0
-        for seg_name, shape in self.layout:
-            size = int(np.prod(shape))
-            if seg_name == name:
-                return slice(off, off + size)
-            off += size
-        raise InvalidArgumentError(f"no segment named {name!r}")
+    layout: Layout
 
     def with_values(self, values: Array) -> "FlatParams":
         return FlatParams(np.asarray(values, dtype=np.float64), self.layout)
 
 
-def flatten_mlp(p: MLPParams, prefix: str = "") -> FlatParams:
-    """Flatten to a vector; order W0, b0, W1, b1, ..., bypass."""
-    parts, layout = [], []
-    for i, (w, b) in enumerate(zip(p.weights, p.biases)):
-        parts += [w.ravel(), b]
-        layout += [(f"{prefix}W{i}", w.shape), (f"{prefix}b{i}", b.shape)]
-    if p.bypass is not None:
-        parts.append(p.bypass.ravel())
-        layout.append((f"{prefix}bypass", p.bypass.shape))
-    return FlatParams(np.concatenate(parts) if parts else np.zeros(0), tuple(layout))
+def flatten_mlp(p: MLPParams) -> FlatParams:
+    """Owned copy of the flat vector; order W0, b0, W1, b1, ..., bypass."""
+    return FlatParams(p.values.copy(), p.layout)
 
 
-def unflatten_mlp(flat: FlatParams, prefix: str = "") -> MLPParams:
-    """Inverse of :func:`flatten_mlp`; exact round-trip."""
-    weights, biases, bypass = [], [], None
-    off = 0
-    for name, shape in flat.layout:
-        size = int(np.prod(shape))
-        seg = flat.values[off:off + size].reshape(shape)
-        off += size
-        if not name.startswith(prefix):
-            raise InvalidArgumentError(f"segment {name!r} does not match prefix {prefix!r}")
-        kind = name[len(prefix):]
-        if kind.startswith("W"):
-            weights.append(seg.copy())
-        elif kind.startswith("b") and kind != "bypass":
-            biases.append(seg.copy())
-        elif kind == "bypass":
-            bypass = seg.copy()
-        else:
-            raise InvalidArgumentError(f"unrecognized segment name {name!r}")
-    return MLPParams(tuple(weights), tuple(biases), bypass)
-
-
-class MLPGrads:
-    """Mutable gradient accumulator mirroring the shapes of an MLPParams."""
-
-    def __init__(self, p: MLPParams):
-        self.weights = [np.zeros_like(w) for w in p.weights]
-        self.biases = [np.zeros_like(b) for b in p.biases]
-        self.bypass = np.zeros_like(p.bypass) if p.bypass is not None else None
-
-    def to_flat(self, p: MLPParams, prefix: str = "") -> FlatParams:
-        g = MLPParams(tuple(self.weights), tuple(self.biases), self.bypass)
-        return flatten_mlp(g, prefix)
+def unflatten_mlp(flat: FlatParams) -> MLPParams:
+    """Inverse of :func:`flatten_mlp`; exact round-trip into a new, checked vector."""
+    p = MLPParams.over(flat.values, flat.layout)
+    return MLPParams(p.weights, p.biases, p.bypass)
 
 
 # --------------------------------------------------------------------------
@@ -215,8 +206,8 @@ def mlp_forward_cached(p: MLPParams, x: Array) -> tuple[Array, MLPCache]:
     return y, (x, hidden)
 
 
-def mlp_backward_cached(p: MLPParams, cache: MLPCache, gy: Array, acc: MLPGrads) -> Array:
-    """Reverse pass from a cached forward; accumulates parameter grads into ``acc``.
+def mlp_backward_cached(p: MLPParams, cache: MLPCache, gy: Array, acc: MLPParams) -> Array:
+    """Reverse pass from a cached forward; adds the parameter grads into ``acc``'s views.
 
     Returns the gradient with respect to the input batch.  Parameter
     gradients are summed over the batch dimension.
@@ -224,16 +215,16 @@ def mlp_backward_cached(p: MLPParams, cache: MLPCache, gy: Array, acc: MLPGrads)
     x, hidden = cache
     acts = [x] + hidden
     g = gy
-    acc.weights[-1] += g.T @ acts[-1]
-    acc.biases[-1] += g.sum(axis=0)
-    g = g @ p.weights[-1]
-    for i in range(len(hidden) - 1, -1, -1):
-        g = g * (1.0 - hidden[i] * hidden[i])
-        acc.weights[i] += g.T @ acts[i]
-        acc.biases[i] += g.sum(axis=0)
+    for i in range(len(hidden), -1, -1):
+        if i < len(hidden):
+            g = g * (1.0 - hidden[i] * hidden[i])
+        w_acc, b_acc = acc.weights[i], acc.biases[i]
+        w_acc += g.T @ acts[i]
+        b_acc += g.sum(axis=0)
         g = g @ p.weights[i]
     if p.bypass is not None:
-        acc.bypass += x.T @ gy
+        g_bypass = acc.bypass
+        g_bypass += x.T @ gy
         g = g + gy @ p.bypass.T
     return g
 
@@ -256,9 +247,9 @@ def mlp_backward(p: MLPParams, x, upstream_grad) -> tuple[Array, FlatParams]:
     if a.shape[0] != g.shape[0]:
         raise InvalidArgumentError("input and upstream_grad batch sizes differ")
     _, cache = mlp_forward_cached(p, a)
-    acc = MLPGrads(p)
-    gx = mlp_backward_cached(p, cache, g, acc)
-    return (gx[0] if single and gsingle else gx), acc.to_flat(p)
+    grad = np.zeros_like(p.values)
+    gx = mlp_backward_cached(p, cache, g, MLPParams.over(grad, p.layout))
+    return (gx[0] if single and gsingle else gx), FlatParams(grad, p.layout)
 
 
 def lipschitz_upper_bound(p: MLPParams) -> float:
@@ -279,9 +270,12 @@ def lipschitz_upper_bound(p: MLPParams) -> float:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass
 class AdamState:
-    """First/second moment state of the Adam optimizer (bias-corrected form)."""
+    """First/second moment state of the Adam optimizer (bias-corrected form).
+
+    :func:`adam_step` updates ``m``, ``v`` and ``step`` in place.
+    """
 
     m: Array
     v: Array
@@ -303,20 +297,21 @@ def adam_init(n: int, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999
     return AdamState(np.zeros(n), np.zeros(n), 0, lr, beta1, beta2, eps)
 
 
-def adam_step(s: AdamState, theta: FlatParams, grad: FlatParams) -> tuple[AdamState, FlatParams]:
-    """One bias-corrected Adam update; returns the new state and parameters."""
-    if theta.values.shape != grad.values.shape or theta.values.shape != s.m.shape:
+def adam_step(s: AdamState, theta: Array, grad: Array) -> None:
+    """One bias-corrected Adam update of ``theta`` and the state ``s``, in place."""
+    if theta.shape != grad.shape or theta.shape != s.m.shape:
         raise InvalidArgumentError("theta/grad/state lengths differ")
-    g = grad.values
-    if not np.isfinite(g).all():
-        raise NumericFaultError("non-finite gradient entries", n_bad=int((~np.isfinite(g)).sum()))
-    t = s.step + 1
-    m = s.beta1 * s.m + (1.0 - s.beta1) * g
-    v = s.beta2 * s.v + (1.0 - s.beta2) * g * g
-    m_hat = m / (1.0 - s.beta1 ** t)
-    v_hat = v / (1.0 - s.beta2 ** t)
-    new_theta = theta.values - s.lr * m_hat / (np.sqrt(v_hat) + s.eps)
-    return AdamState(m, v, t, s.lr, s.beta1, s.beta2, s.eps), theta.with_values(new_theta)
+    if not np.isfinite(grad).all():
+        raise NumericFaultError("non-finite gradient entries",
+                                n_bad=int((~np.isfinite(grad)).sum()))
+    s.step += 1
+    s.m *= s.beta1
+    s.m += (1.0 - s.beta1) * grad
+    s.v *= s.beta2
+    s.v += (1.0 - s.beta2) * grad * grad
+    m_hat = s.m / (1.0 - s.beta1 ** s.step)
+    v_hat = s.v / (1.0 - s.beta2 ** s.step)
+    theta -= s.lr * m_hat / (np.sqrt(v_hat) + s.eps)
 
 
 # --------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericFaultError
-from .nnmath import Array, MLPCache, MLPGrads, MLPParams, mlp_backward_cached, mlp_forward_cached
+from .nnmath import Array, MLPCache, MLPParams, mlp_backward_cached, mlp_forward_cached
 
 _METHODS = ("euler", "rk4")
 
@@ -147,12 +147,12 @@ def _stage_backward(f_net, cache, g_k, n_x, acc) -> Array:
 
 def mlp_ode_step_backward(
     f_net: MLPParams, caches: StepCache, g_next: Array, n_x: int, cfg: SolverConfig,
-    acc: MLPGrads,
+    acc: MLPParams,
 ) -> Array:
     """Reverse-mode pass through one cached ode step.
 
     ``g_next`` is dL/d(x after the step); returns dL/d(x before the step).
-    Parameter gradients accumulate into ``acc``.
+    Parameter gradients accumulate into the views of ``acc``.
     """
     h = cfg.dt / cfg.substeps
     g = g_next

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from .data import NormStats
 from .errors import ParseError
 from .model import SubnetModel
-from .nnmath import FlatParams, MLPParams, flatten_mlp, unflatten_mlp
+from .nnmath import FlatParams, MLPParams, mlp_layout, unflatten_mlp
 from .ode import SolverConfig
 
 FORMAT_VERSION = 1
@@ -40,26 +41,17 @@ def _decode_array(s: str, n: int) -> np.ndarray:
     return a
 
 
-def _mlp_layout(layer_sizes: list[int], with_bypass: bool):
-    layout = []
-    for i, (fan_in, fan_out) in enumerate(zip(layer_sizes[:-1], layer_sizes[1:])):
-        layout += [(f"W{i}", (fan_out, fan_in)), (f"b{i}", (fan_out,))]
-    if with_bypass:
-        layout.append(("bypass", (layer_sizes[0], layer_sizes[-1])))
-    return tuple(layout)
-
-
 def _net_to_dict(p: MLPParams) -> dict:
     return {
         "layer_sizes": p.layer_sizes,
         "with_bypass": p.bypass is not None,
-        "params_b64": _encode_array(flatten_mlp(p).values),
+        "params_b64": _encode_array(p.values),
     }
 
 
 def _net_from_dict(d: dict) -> MLPParams:
-    layout = _mlp_layout(d["layer_sizes"], d["with_bypass"])
-    n = sum(int(np.prod(s)) for _, s in layout)
+    layout = mlp_layout(tuple(d["layer_sizes"]), d["with_bypass"])
+    n = sum(math.prod(s) for _, s in layout)
     return unflatten_mlp(FlatParams(_decode_array(d["params_b64"], n), layout))
 
 

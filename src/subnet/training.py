@@ -19,18 +19,16 @@ from .data import BatchSampler, Dataset, normalize_dataset, valid_start_indices
 from .errors import DegenerateDataError, InvalidArgumentError, NumericFaultError
 from .model import (
     SubnetModel,
+    _net_views,
     _sim_backward,
     _sim_forward_cached,
     _windows,
-    model_flatten,
     model_with_values,
-    segment_mask,
     simulate_free_run,
 )
 from .nnmath import (
     Array,
     FlatParams,
-    MLPGrads,
     adam_init,
     adam_step,
     mlp_backward_cached,
@@ -54,6 +52,8 @@ def _loss_and_grad_normed(
 ) -> tuple[float, FlatParams]:
     """Truncated loss plus exact gradient on pre-normalized arrays."""
     B = len(ns)
+    grad = np.zeros_like(m.values)
+    f_acc, h_acc, psi_acc = _net_views(m, grad)
     win = _windows(u_norm, y_norm, ns, m.n_a, m.n_b)
     x0, psi_cache = mlp_forward_cached(m.psi_net, win)
     u_steps = _gather_steps(u_norm, ns, T)
@@ -61,15 +61,9 @@ def _loss_and_grad_normed(
     _, outputs, h_caches, step_caches = _sim_forward_cached(m, x0, u_steps, ns)
     diff = outputs - targets
     loss = float(np.sum(diff * diff)) / (B * T)
-    g_x0, f_acc, h_acc = _sim_backward(m, h_caches, step_caches, (2.0 / (B * T)) * diff)
-    psi_acc = MLPGrads(m.psi_net)
+    g_x0 = _sim_backward(m, h_caches, step_caches, (2.0 / (B * T)) * diff, f_acc, h_acc)
     mlp_backward_cached(m.psi_net, psi_cache, g_x0, psi_acc)
-    grad = np.concatenate([
-        f_acc.to_flat(m.f_net).values,
-        h_acc.to_flat(m.h_net).values,
-        psi_acc.to_flat(m.psi_net).values,
-    ])
-    return loss, model_flatten(m).with_values(grad)
+    return loss, FlatParams(grad, m.layout)
 
 
 def truncated_loss_and_grad(
@@ -111,20 +105,22 @@ def full_sim_loss(
     if x0.shape != (m.n_x,):
         raise InvalidArgumentError(f"x0 must have shape ({m.n_x},)")
     dsn = normalize_dataset(ds, m.norm)
-    N = ds.n
-    u_steps = dsn.u[None, :, :]
-    _, outputs, h_caches, step_caches = _sim_forward_cached(m, x0[None, :], u_steps)
-    diff = outputs - dsn.y[None, :, :]
+    loss, grad, g_x0 = _full_loss_and_grad_normed(m, dsn.u, dsn.y, x0)
+    return loss, FlatParams(grad, m.layout), g_x0
+
+
+def _full_loss_and_grad_normed(
+    m: SubnetModel, u_norm: Array, y_norm: Array, x0: Array
+) -> tuple[float, Array, Array]:
+    """Full-sequence loss, flat parameter gradient and x0 gradient on pre-normalized arrays."""
+    N = len(y_norm)
+    grad = np.zeros_like(m.values)
+    f_acc, h_acc, _ = _net_views(m, grad)
+    _, outputs, h_caches, step_caches = _sim_forward_cached(m, x0[None, :], u_norm[None, :, :])
+    diff = outputs - y_norm[None, :, :]
     loss = float(np.sum(diff * diff)) / N
-    g_x0, f_acc, h_acc = _sim_backward(m, h_caches, step_caches, (2.0 / N) * diff)
-    grad = np.concatenate([
-        f_acc.to_flat(m.f_net).values,
-        h_acc.to_flat(m.h_net).values,
-        np.zeros(sum(w.size for w in m.psi_net.weights)
-                 + sum(b.size for b in m.psi_net.biases)
-                 + (m.psi_net.bypass.size if m.psi_net.bypass is not None else 0)),
-    ])
-    return loss, model_flatten(m).with_values(grad), g_x0[0]
+    g_x0 = _sim_backward(m, h_caches, step_caches, (2.0 / N) * diff, f_acc, h_acc)
+    return loss, grad, g_x0[0]
 
 
 # --------------------------------------------------------------------------
@@ -160,6 +156,8 @@ class TrainConfig:
             raise InvalidArgumentError("bad mode or loss_target")
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise InvalidArgumentError("clip_norm must be positive or None")
+        if not set(self.trainable) <= {"f", "h", "psi"}:
+            raise InvalidArgumentError(f"unknown network names in trainable: {self.trainable}")
 
 
 @dataclass(frozen=True)
@@ -189,13 +187,13 @@ def _val_rmse(m: SubnetModel, val_ds: Dataset) -> float:
         return float(np.sqrt(np.mean(err * err)))
 
 
-def _clip(grad: Array, clip_norm: float | None) -> Array:
+def _clip(grad: Array, clip_norm: float | None) -> None:
+    """Scale ``grad`` in place to norm ``clip_norm`` when it is longer."""
     if clip_norm is None:
-        return grad
+        return
     norm = float(np.linalg.norm(grad))
     if norm > clip_norm:
-        return grad * (clip_norm / norm)
-    return grad
+        grad *= clip_norm / norm
 
 
 def train(
@@ -220,15 +218,16 @@ def train(
 
     t_start = time.perf_counter()
     dsn = normalize_dataset(train_ds, m0.norm)
-    theta = model_flatten(m0)
-    mask = segment_mask(m0, cfg.trainable)
-    adam = adam_init(theta.values.size, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+    # the live model is a view of theta, which Adam updates in place; m0 is never written
+    model = model_with_values(m0, m0.values)
+    theta = model.values
+    frozen = [sl for name, sl in model.segments.items() if name not in cfg.trainable]
+    adam = adam_init(theta.size, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
     sampler = BatchSampler(indices, cfg.batch_size, np.random.default_rng(cfg.seed))
 
     hist = TrainHistory()
     # the incoming model is the fallback checkpoint even if validation never succeeds
     hist.best_checkpoint = model_to_json(m0)
-    model = m0
     last_loss = float("nan")
     since_best = 0
     fault_streak = 0
@@ -259,17 +258,19 @@ def train(
                 if cfg.loss_target == "truncated":
                     batch = sampler.sample_batch()
                     loss, grad = _loss_and_grad_normed(model, dsn.u, dsn.y, batch, cfg.T)
+                    g = grad.values
                 else:
                     x0 = mlp_forward(model.psi_net, np.zeros(0))
-                    loss, grad, g_x0 = full_sim_loss(model, train_ds, x0)
-                    vals = grad.values.copy()
-                    vals[grad.segment("psi.b0")] = g_x0  # x0 lives in the constant encoder
-                    grad = grad.with_values(vals)
-            if not (np.isfinite(loss) and np.isfinite(grad.values).all()):
+                    loss, g, g_x0 = _full_loss_and_grad_normed(model, dsn.u, dsn.y, x0)
+                    _net_views(model, g)[2].biases[0][:] = g_x0  # x0 lives in the constant encoder
+            if not (np.isfinite(loss) and np.isfinite(g).all()):
                 raise NumericFaultError("non-finite loss or gradient", update=update)
-            g = _clip(np.where(mask, grad.values, 0.0), cfg.clip_norm)
-            adam, theta = adam_step(adam, theta, theta.with_values(g))
-            model = model_with_values(model, theta.values)
+            for sl in frozen:
+                g[sl] = 0.0
+            _clip(g, cfg.clip_norm)
+            adam_step(adam, theta, g)
+            if not np.isfinite(theta).all():
+                raise InvalidArgumentError(f"non-finite parameter entries after update {update}")
             last_loss = loss
             fault_streak = 0
         except NumericFaultError:

@@ -8,6 +8,13 @@ from subnet.model import init_model
 from subnet.ode import SolverConfig
 
 
+def pytest_collection_modifyitems(items):
+    """Mark the acceptance criteria ``slow``: ``pytest -m "not slow"`` runs the fast tier."""
+    for item in items:
+        if item.path.name == "test_acceptance.py":
+            item.add_marker(pytest.mark.slow)
+
+
 @pytest.fixture()
 def toy_dataset():
     rng = np.random.default_rng(100)

@@ -148,19 +148,6 @@ def test_criterion_4_loss_equivalence():
 # -----------------------------------------------------------------------
 
 
-def _tanks_splits():
-    clean, _ = generate_synthetic(SyntheticConfig(seed=0))
-    sigma = 0.1 * clean.y.std()  # ~20 dB SNR
-
-    def make(seed):
-        return generate_synthetic(SyntheticConfig(seed=seed, noise_std=sigma))
-
-    train_ds, _ = make(0)
-    val_ds, _ = make(1)
-    test_ds, test_tr = make(2)
-    return train_ds, val_ds, test_ds, test_tr, sigma
-
-
 def test_criterion_5_synthetic_identification(tanks_bundle):
     train_ds, val_ds, test_ds = (tanks_bundle[k] for k in ("train", "val", "test"))
     floor_rmse = tanks_bundle["floor_rmse"]

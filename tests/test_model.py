@@ -15,13 +15,13 @@ from subnet.model import (
     init_model,
     model_flatten,
     model_with_values,
-    segment_mask,
     simulate_free_run,
     simulate_subsection,
 )
 from subnet.nnmath import MLPParams, mlp_forward, mlp_init
 from subnet.ode import SolverConfig, ode_step
 from subnet.serialize import load_model, model_from_dict, model_to_dict, save_model
+from subnet.training import TrainConfig
 
 IDENT = NormStats.identity(1, 1)
 
@@ -284,14 +284,17 @@ def test_model_flatten_roundtrip():
 
 
 def test_segment_mask_partition():
+    # the f | h | psi slices tile the vector, and each one is its network's vector
     m = init_model(2, 1, 1, 3, 3, SolverConfig(), IDENT, hidden=(4,), seed=7)
-    mf = segment_mask(m, ("f",))
-    mh = segment_mask(m, ("h",))
-    mp = segment_mask(m, ("psi",))
-    assert mf.sum() == m.f_net.n_params
-    assert (mf | mh | mp).all() and not (mf & mh).any()
+    seg = m.segments
+    assert (seg["f"].start, seg["f"].stop) == (0, m.f_net.n_params)
+    assert seg["h"].start == seg["f"].stop and seg["psi"].start == seg["h"].stop
+    assert seg["psi"].stop == m.values.size
+    for name, net in (("f", m.f_net), ("h", m.h_net), ("psi", m.psi_net)):
+        assert np.shares_memory(net.values, m.values[seg[name]])
+        assert np.array_equal(net.values, m.values[seg[name]])
     with pytest.raises(InvalidArgumentError):
-        segment_mask(m, ("g",))
+        TrainConfig(trainable=("f", "g"))
 
 
 # ---------------------------------------------------------------- serialization

@@ -197,50 +197,68 @@ def test_mlpparams_rejects_bad_shapes():
 # ---------------------------------------------------------------- adam
 
 
-def _flat(values):
-    from subnet.nnmath import FlatParams
-
-    values = np.asarray(values, dtype=np.float64)
-    return FlatParams(values, (("theta", values.shape),))
-
-
 def test_adam_zero_grad_is_noop():
     s = adam_init(4)
-    theta = flatten_mlp(mlp_init([3, 1], False, 0))
-    s2, theta2 = adam_step(s, theta, theta.with_values(np.zeros(4)))
-    assert np.array_equal(theta.values, theta2.values)
-    assert s2.step == 1
+    theta = mlp_init([3, 1], False, 0).values.copy()
+    before = theta.copy()
+    adam_step(s, theta, np.zeros(4))
+    assert np.array_equal(theta, before)
+    assert s.step == 1
 
 
 def test_adam_first_step_closed_form():
     # fresh state, grad 1: delta = -lr * 1 / (1 + eps)
-    theta = _flat([0.5])
-    _, theta2 = adam_step(adam_init(1), theta, _flat([1.0]))
-    delta = theta2.values[0] - 0.5
+    theta = np.array([0.5])
+    adam_step(adam_init(1), theta, np.array([1.0]))
+    delta = theta[0] - 0.5
     assert abs(delta - (-1e-3 / (1 + 1e-8))) < 1e-15
 
 
 def test_adam_first_step_sign_antisymmetry():
-    theta = _flat([0.0])
-    _, up = adam_step(adam_init(1), theta, _flat([1.0]))
-    _, down = adam_step(adam_init(1), theta, _flat([-1.0]))
-    assert up.values[0] == -down.values[0]
+    up, down = np.array([0.0]), np.array([0.0])
+    adam_step(adam_init(1), up, np.array([1.0]))
+    adam_step(adam_init(1), down, np.array([-1.0]))
+    assert up[0] == -down[0]
 
 
 def test_adam_rejects_nonfinite_grad():
-    theta = flatten_mlp(mlp_init([1, 1], False, 0))
+    s = adam_init(2)
+    theta = np.array([0.25, -0.5])
     with pytest.raises(NumericFaultError):
-        adam_step(adam_init(2), theta, theta.with_values(np.array([1.0, np.nan])))
+        adam_step(s, theta, np.array([1.0, np.nan]))
+    # nothing was written before the check
+    assert np.array_equal(theta, [0.25, -0.5]) and s.step == 0
+    assert not s.m.any() and not s.v.any()
 
 
 def test_adam_deterministic():
     rng = np.random.default_rng(0)
-    theta = flatten_mlp(mlp_init([2, 3], False, 4))
-    g = theta.with_values(rng.standard_normal(theta.values.size))
-    a1 = adam_step(adam_init(theta.values.size), theta, g)
-    a2 = adam_step(adam_init(theta.values.size), theta, g)
-    assert np.array_equal(a1[1].values, a2[1].values)
-    assert np.array_equal(a1[0].m, a2[0].m) and np.array_equal(a1[0].v, a2[0].v)
+    start = mlp_init([2, 3], False, 4).values
+    g = rng.standard_normal(start.size)
+    s1, s2 = adam_init(start.size), adam_init(start.size)
+    t1, t2 = start.copy(), start.copy()
+    adam_step(s1, t1, g)
+    adam_step(s2, t2, g)
+    assert np.array_equal(t1, t2)
+    assert np.array_equal(s1.m, s2.m) and np.array_equal(s1.v, s2.v)
+
+
+def test_adam_in_place_matches_out_of_place_formula():
+    # the in-place update keeps every operand and its order: same bits as the textbook form
+    rng = np.random.default_rng(1)
+    s = adam_init(50, lr=3e-3)
+    theta = rng.standard_normal(50)
+    ref, m, v = theta.copy(), np.zeros(50), np.zeros(50)
+    for t in range(1, 6):
+        g = rng.standard_normal(50) * 10.0 ** rng.integers(-6, 3, 50)
+        adam_step(s, theta, g)
+        m = s.beta1 * m + (1.0 - s.beta1) * g
+        v = s.beta2 * v + (1.0 - s.beta2) * g * g
+        m_hat = m / (1.0 - s.beta1 ** t)
+        v_hat = v / (1.0 - s.beta2 ** t)
+        ref = ref - s.lr * m_hat / (np.sqrt(v_hat) + s.eps)
+        assert np.array_equal(theta, ref)
+        assert np.array_equal(s.m, m) and np.array_equal(s.v, v) and s.step == t
 
 
 # ---------------------------------------------------------------- finite differences

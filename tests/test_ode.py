@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from subnet.errors import InvalidArgumentError, NumericFaultError
-from subnet.nnmath import MLPGrads, flatten_mlp, mlp_init, unflatten_mlp
+from subnet.nnmath import MLPParams, flatten_mlp, mlp_init, unflatten_mlp
 from subnet.ode import (
     SolverConfig,
     mlp_ode_step_backward,
@@ -141,11 +141,11 @@ def test_mlp_step_gradients_match_fd(method, substeps):
     for k in range(6):
         x, c = mlp_ode_step_cached(f_net, x, us[k], cfg)
         caches.append(c)
-    acc = MLPGrads(f_net)
+    ana = np.zeros_like(f_net.values)
+    acc = MLPParams.over(ana, f_net.layout)
     g = w[None, :].copy()
     for k in range(5, -1, -1):
         g = mlp_ode_step_backward(f_net, caches[k], g, 2, cfg, acc)
-    ana = acc.to_flat(f_net).values
 
     base = flatten_mlp(f_net).values
     fd = np.zeros_like(base)
@@ -179,11 +179,11 @@ def test_rollout_gradient_long_horizon():
     for k in range(64):
         x, c = mlp_ode_step_cached(f_net, x, us[k], cfg)
         caches.append(c)
-    acc = MLPGrads(f_net)
+    ana = np.zeros_like(f_net.values)
+    acc = MLPParams.over(ana, f_net.layout)
     g = np.array([[1.0]])
     for k in range(63, -1, -1):
         g = mlp_ode_step_backward(f_net, caches[k], g, 1, cfg, acc)
-    ana = acc.to_flat(f_net).values
 
     def endpoint(values):
         p = unflatten_mlp(flatten_mlp(f_net).with_values(values))

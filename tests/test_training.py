@@ -270,3 +270,103 @@ def test_suggest_tau_needs_two_samples():
     ds = Dataset(np.ones((1, 1)), np.ones((1, 1)), 1.0)
     with pytest.raises(InvalidArgumentError):
         suggest_tau(ds)
+
+
+# ---------------------------------------------------------------- gradient sweep
+
+
+def _fd_model(mode, method, substeps, n_a, n_b, ds):
+    solver = SolverConfig(method, substeps, 1.5, ds.dt)
+    if (n_a, n_b) == (0, 0):  # free initial state: constant encoder, zero-size weight
+        base = init_model(2, 1, 1, 2, 2, solver, fit_normalizer(ds), mode=mode,
+                          hidden=(4,), seed=11)
+        return dataclasses.replace(base, psi_net=constant_psi(2, [0.3, -0.4]), n_a=0, n_b=0)
+    return init_model(2, 1, 1, n_a, n_b, solver, fit_normalizer(ds), mode=mode,
+                      hidden=(4,), seed=11)
+
+
+def _rel_err(a, b):
+    return np.abs(a - b) / np.maximum(1e-8, np.maximum(np.abs(a), np.abs(b)))
+
+
+@pytest.mark.parametrize("T", [1, 7])
+@pytest.mark.parametrize("lags", [(2, 2), (3, 1), (0, 0)])
+@pytest.mark.parametrize("mode,method,substeps", [
+    ("ct", "euler", 1), ("ct", "euler", 3), ("ct", "rk4", 1), ("ct", "rk4", 3),
+    ("dt", "rk4", 1)])
+def test_truncated_gradient_fd_sweep(mode, method, substeps, lags, T):
+    ds = _toy(21, n=30)
+    m = _fd_model(mode, method, substeps, *lags, ds)
+    batch = np.random.default_rng(T).integers(m.lag, ds.n - T + 1, 5)
+    _, grad = truncated_loss_and_grad(m, ds, batch, T)
+    fd = finite_diff_gradient(
+        lambda flat: truncated_loss_and_grad(model_with_values(m, flat.values), ds, batch, T)[0],
+        model_flatten(m), 1e-5)  # a smaller step leaves ~1e-10 of rounding in each entry
+    assert np.any(grad.values[m.segments["psi"]] != 0.0)  # the encoder takes part
+    assert _rel_err(grad.values, fd.values).max() <= 1e-5
+
+
+def test_full_sim_loss_psi_b0_slot_fd():
+    # train's full-loss path writes g_x0 into the psi.b0 view of the gradient; that must
+    # be the gradient of the loss with x0 read from the constant encoder
+    ds = _toy(22, n=12)
+    m = _fd_model("ct", "rk4", 2, 0, 0, ds)
+    x0 = m.psi_net.biases[0]
+    _, grad, g_x0 = full_sim_loss(m, ds, x0)
+    assert not grad.values[m.segments["psi"]].any()  # the encoder itself does not take part
+    as_model = model_with_values(m, grad.values)
+    as_model.psi_net.biases[0][:] = g_x0
+    fd = finite_diff_gradient(
+        lambda flat: full_sim_loss(mv := model_with_values(m, flat.values), ds,
+                                   mv.psi_net.biases[0])[0],
+        model_flatten(m), 1e-5)
+    assert np.array_equal(as_model.values[m.segments["psi"]], g_x0)
+    assert _rel_err(as_model.values, fd.values).max() <= 1e-5
+
+
+# ---------------------------------------------------------------- aliasing
+
+
+def test_train_leaves_m0_unchanged():
+    ds, val = _toy(3, n=60), _toy(4, n=40)
+    m0 = _toy_model(ds, seed=9, hidden=(6,))
+    before = model_flatten(m0).values
+    f_w0 = m0.f_net.weights[0].copy()
+    best, hist = train(m0, ds, val, TrainConfig(T=10, batch_size=8, max_updates=60,
+                                                eval_every=20, seed=5))
+    assert np.array_equal(model_flatten(m0).values, before)
+    assert np.array_equal(m0.f_net.weights[0], f_w0)
+    assert hist.best_update > 0 and not np.array_equal(model_flatten(best).values, before)
+
+
+def test_flat_vectors_do_not_alias_models():
+    m = _toy_model(_toy(5))
+    before = model_flatten(m).values
+    model_flatten(m).values[:] = 7.0
+    assert np.array_equal(m.values, before)
+    incoming = before * 0.5
+    m2 = model_with_values(m, incoming)
+    incoming[:] = 7.0
+    assert np.array_equal(m2.values, before * 0.5)
+    assert np.array_equal(m2.f_net.weights[0].ravel(), (before * 0.5)[:m2.f_net.weights[0].size])
+    assert np.array_equal(m.values, before)
+
+
+def test_model_with_values_rejects_nonfinite():
+    m = _toy_model(_toy(5))
+    bad = model_flatten(m).values
+    bad[3] = np.inf
+    with pytest.raises(InvalidArgumentError):
+        model_with_values(m, bad)
+
+
+def test_train_f_only_keeps_h_and_psi():
+    ds, val = _toy(3, n=60), _toy(4, n=40)
+    m0 = _toy_model(ds, seed=9, hidden=(6,))
+    best, hist = train(m0, ds, val, TrainConfig(T=10, batch_size=8, max_updates=60,
+                                                eval_every=20, seed=5, trainable=("f",)))
+    assert hist.best_update > 0
+    seg = m0.segments
+    for name in ("h", "psi"):
+        assert np.array_equal(best.values[seg[name]], m0.values[seg[name]])
+    assert not np.array_equal(best.values[seg["f"]], m0.values[seg["f"]])
