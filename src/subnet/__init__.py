@@ -13,7 +13,6 @@ from .data import (
     generate_synthetic,
     load_csv,
     normalize_dataset,
-    sample_batch,
     save_csv,
     valid_start_indices,
 )
@@ -36,7 +35,6 @@ from .evaluation import (
     reconstruct_oracle,
     rmse,
     smoothness_probe,
-    state_rms,
     tau_sweep,
     verify_theorem2,
 )
@@ -67,7 +65,7 @@ from .nnmath import (
     mlp_init,
     unflatten_mlp,
 )
-from .ode import SolverConfig, ode_step, rollout
+from .ode import SolverConfig, ode_step
 from .serialize import load_model, model_from_dict, model_to_dict, save_model
 from .training import (
     TrainConfig,

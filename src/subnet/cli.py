@@ -383,22 +383,17 @@ def _cmd_probe(cfg: RunConfig, out: Path) -> RunConfig:
     _require(cfg, "data", "model")
     train_ds, _, _ = _load_splits(cfg)
     cfg2 = _resolve_tau(cfg, train_ds)
-    rows = []
+    runs = []
     for seed in cfg.probe.seeds:
         m = _build_model(
             cfg2.model_copy(update={"model": cfg2.model.model_copy(update={"seed": int(seed)})}),
             train_ds)
-        results = ev.smoothness_probe(m, train_ds, cfg.probe.T_values,
-                                      cfg.probe.n_probes, cfg.probe.eps, seed=int(seed))
-        rows += [(r.T, int(seed), r.l_hat, r.n_failed) for r in results]
-    with open(out / "probe.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["setting", "seed", "metric", "value"])
-        for T, seed, l_hat, n_failed in rows:
-            w.writerow([T, seed, "l_hat", repr(l_hat)])
-            w.writerow([T, seed, "n_failed", n_failed])
+        runs.append((int(seed), ev.smoothness_probe(m, train_ds, cfg.probe.T_values,
+                                                    cfg.probe.n_probes, cfg.probe.eps,
+                                                    seed=int(seed))))
+    ev.save_probe_csv(runs, out / "probe.csv")
     for T in cfg.probe.T_values:
-        med = np.median([r[2] for r in rows if r[0] == T])
+        med = np.median([r.l_hat for _, results in runs for r in results if r.T == T])
         print(f"T={T}: median L_hat {med:.6g}")
     return cfg2
 

@@ -224,11 +224,6 @@ class BatchSampler:
         return out
 
 
-def sample_batch(indices, batch_size: int, rng: np.random.Generator) -> Array:
-    """One uniform draw without replacement (the first chunk of a fresh epoch)."""
-    return BatchSampler(indices, batch_size, rng).sample_batch()
-
-
 # --------------------------------------------------------------------------
 # synthetic benchmarks
 # --------------------------------------------------------------------------

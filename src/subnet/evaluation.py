@@ -30,7 +30,7 @@ from .errors import (
 from .model import (
     EvalTrace,
     SubnetModel,
-    _sim_forward_plain,
+    _sim_forward,
     _windows,
     model_flatten,
     model_with_values,
@@ -95,12 +95,6 @@ def evaluate_model(m: SubnetModel, ds: Dataset) -> EvalReport:
         n_samples=trace.y_pred.shape[0],
         trace=trace,
     )
-
-
-def state_rms(m: SubnetModel, ds: Dataset) -> tuple[float, float]:
-    """(RMS of the free-run state trajectory, RMS of f before the 1/tau factor)."""
-    trace = simulate_free_run(m, ds)
-    return _trace_rms(m, trace, ds)
 
 
 # --------------------------------------------------------------------------
@@ -173,6 +167,9 @@ def run_cell(
         m0 = init_model(n_x, train_ds.n_u, train_ds.n_y, n_a, n_b, solver, norm,
                         mode=train_cfg.mode, hidden=hidden, seed=seed)
         best, hist = train(m0, train_ds, val_ds, replace(train_cfg, seed=seed))
+        if not np.isfinite(hist.best_val_rmse):
+            raise NumericFaultError("no validation free run stayed finite",
+                                    n_evals=len(hist.records))
         report = evaluate_model(best, test_ds)
         return SweepCell(dt_over_tau, seed, report.rms_x, report.rms_f,
                          report.rmse, hist.best_val_rmse)
@@ -224,7 +221,7 @@ def _truncated_loss_only(m: SubnetModel, u_norm: Array, y_norm: Array, ns: Array
     win = _windows(u_norm, y_norm, ns, m.n_a, m.n_b)
     x0, _ = mlp_forward_cached(m.psi_net, win)
     steps = ns[:, None] + np.arange(T)[None, :]
-    _, outputs = _sim_forward_plain(m, x0, u_norm[steps], ns)
+    _, outputs = _sim_forward(m, x0, u_norm[steps], ns)
     diff = outputs - y_norm[steps]
     return float(np.sum(diff * diff)) / (len(ns) * T)
 
@@ -267,13 +264,15 @@ def smoothness_probe(
     return results
 
 
-def save_probe_csv(results: list[ProbeResult], path, seed: int | None = None) -> None:
+def save_probe_csv(runs: list[tuple[int | None, list[ProbeResult]]], path) -> None:
+    """Tidy CSV (setting, seed, metric, value) of (seed, results) pairs, in order."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["setting", "seed", "metric", "value"])
-        for r in results:
-            w.writerow([r.T, "" if seed is None else seed, "l_hat", repr(r.l_hat)])
-            w.writerow([r.T, "" if seed is None else seed, "n_failed", r.n_failed])
+        for seed, results in runs:
+            for r in results:
+                w.writerow([r.T, "" if seed is None else seed, "l_hat", repr(r.l_hat)])
+                w.writerow([r.T, "" if seed is None else seed, "n_failed", r.n_failed])
 
 
 # --------------------------------------------------------------------------

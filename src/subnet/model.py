@@ -31,7 +31,13 @@ from .nnmath import (
     mlp_forward_cached,
     mlp_init,
 )
-from .ode import SolverConfig, mlp_ode_step_backward, mlp_ode_step_cached, mlp_ode_step_plain
+from .ode import (
+    SolverConfig,
+    mlp_ode_step_backward,
+    mlp_ode_step_cached,
+    mlp_ode_step_plain,
+    state_fault,
+)
 
 _NETS = ("f", "h", "psi")
 
@@ -200,85 +206,61 @@ class EvalTrace:
     dt: float
 
 
-def _step_cached(m: SubnetModel, x: Array, u: Array):
-    if m.mode == "ct":
-        return mlp_ode_step_cached(m.f_net, x, u, m.solver)
-    return mlp_forward_cached(m.f_net, np.concatenate([x, u], axis=1))
-
-
-def _step_plain(m: SubnetModel, x: Array, u: Array) -> Array:
-    if m.mode == "ct":
-        return mlp_ode_step_plain(m.f_net, x, u, m.solver)
-    return mlp_forward_cached(m.f_net, np.concatenate([x, u], axis=1))[0]
-
-
 def _step_backward(m: SubnetModel, cache, g_next: Array, acc: MLPParams) -> Array:
     if m.mode == "ct":
         return mlp_ode_step_backward(m.f_net, cache, g_next, m.n_x, m.solver, acc)
     return mlp_backward_cached(m.f_net, cache, g_next, acc)[:, :m.n_x]
 
 
-def _sim_forward_plain(m: SubnetModel, x0: Array, u_steps: Array, ns=None):
-    """Cache-free variant of :func:`_sim_forward_cached`; memory O(B*T)."""
-    B, T = u_steps.shape[0], u_steps.shape[1]
-    states = np.empty((B, T + 1, m.n_x))
-    outputs = np.empty((B, T, m.n_y))
-    x = x0
-    for k in range(T):
-        states[:, k] = x
-        outputs[:, k] = mlp_forward_cached(m.h_net, x)[0]
-        x = _step_plain(m, x, u_steps[:, k])
-        if not np.isfinite(x).all():
-            bad_rows = np.nonzero(~np.isfinite(x).all(axis=1))[0]
-            ctx = {"step": k}
-            if ns is not None and bad_rows.size:
-                ctx["start"] = int(np.asarray(ns)[bad_rows[0]])
-            raise NumericFaultError("non-finite state in subsection rollout", **ctx)
-    states[:, T] = x
-    return states, outputs
-
-
-def _sim_forward_cached(m: SubnetModel, x0: Array, u_steps: Array, ns=None):
-    """Batched subsection rollout with caches for the reverse pass.
+def _sim_forward(m: SubnetModel, x0: Array, u_steps: Array, ns: Array, caches=None):
+    """Batched subsection rollout from the start indices ``ns``.
 
     x0: (B, n_x) initial states; u_steps: (B, T, n_u) normalized inputs.
-    Returns (states (B, T+1, n_x), outputs (B, T, n_y), h_caches, step_caches).
+    Returns (states (B, T+1, n_x), outputs (B, T, n_y)).  When ``caches`` is a
+    list, each step appends its (h cache, step cache) pair for
+    :func:`_sim_backward`; without it memory stays O(B*T).  A fault names the
+    step, the start index of the first non-finite row and, in ct mode, the
+    sub-step.
     """
     B, T = u_steps.shape[0], u_steps.shape[1]
     states = np.empty((B, T + 1, m.n_x))
     outputs = np.empty((B, T, m.n_y))
-    h_caches, step_caches = [], []
     x = x0
     for k in range(T):
         states[:, k] = x
-        yk, hc = mlp_forward_cached(m.h_net, x)
-        outputs[:, k] = yk
-        h_caches.append(hc)
-        x, sc = _step_cached(m, x, u_steps[:, k])
-        step_caches.append(sc)
-        if not np.isfinite(x).all():
-            bad_rows = np.nonzero(~np.isfinite(x).all(axis=1))[0]
-            ctx = {"step": k}
-            if ns is not None and bad_rows.size:
-                ctx["start"] = int(np.asarray(ns)[bad_rows[0]])
-            raise NumericFaultError("non-finite state in subsection rollout", **ctx)
+        outputs[:, k], hc = mlp_forward_cached(m.h_net, x)
+        try:
+            if m.mode == "dt":
+                x, sc = mlp_forward_cached(m.f_net, np.concatenate([x, u_steps[:, k]], axis=1))
+                if not np.isfinite(x).all():
+                    raise state_fault(x)
+            elif caches is None:
+                x = mlp_ode_step_plain(m.f_net, x, u_steps[:, k], m.solver)
+            else:
+                x, sc = mlp_ode_step_cached(m.f_net, x, u_steps[:, k], m.solver)
+        except NumericFaultError as e:
+            ctx = dict(e.context)
+            start = int(ns[ctx.pop("row")])
+            raise NumericFaultError("non-finite state in subsection rollout",
+                                    step=k, start=start, **ctx) from e
+        if caches is not None:
+            caches.append((hc, sc))
     states[:, T] = x
-    return states, outputs, h_caches, step_caches
+    return states, outputs
 
 
-def _sim_backward(m: SubnetModel, h_caches, step_caches, g_outputs: Array,
+def _sim_backward(m: SubnetModel, caches, g_outputs: Array,
                   f_acc: MLPParams, h_acc: MLPParams) -> Array:
     """Reverse pass; adds the f and h grads into the accumulators, returns dL/dx0."""
-    T = g_outputs.shape[1]
     g_x = None
-    for k in range(T - 1, -1, -1):
+    for k in range(g_outputs.shape[1] - 1, -1, -1):
+        h_cache, step_cache = caches[k]
         if g_x is not None:
-            g_x = _step_backward(m, step_caches[k], g_x, f_acc)
-        g_h = mlp_backward_cached(m.h_net, h_caches[k], g_outputs[:, k], h_acc)
+            g_x = _step_backward(m, step_cache, g_x, f_acc)
+        g_h = mlp_backward_cached(m.h_net, h_cache, g_outputs[:, k], h_acc)
         g_x = g_h if g_x is None else g_x + g_h
     if g_x is None:  # T == 0
-        B = 1 if not h_caches else h_caches[0][0].shape[0]
-        g_x = np.zeros((B, m.n_x))
+        g_x = np.zeros((g_outputs.shape[0], m.n_x))
     return g_x
 
 
@@ -290,13 +272,7 @@ def simulate_subsection(m: SubnetModel, ds: Dataset, n: int, T: int) -> Subsecti
     dsn = normalize_dataset(ds, m.norm)
     win = _windows(dsn.u, dsn.y, np.array([n]), m.n_a, m.n_b)
     x0, _ = mlp_forward_cached(m.psi_net, win)
-    u_steps = dsn.u[n:n + T][None, :, :]
-    try:
-        states, outputs = _sim_forward_plain(m, x0, u_steps, ns=[n])
-    except NumericFaultError as e:
-        ctx = dict(e.context)
-        ctx.setdefault("start", n)
-        raise NumericFaultError("subsection simulation failed", **ctx) from e
+    states, outputs = _sim_forward(m, x0, dsn.u[n:n + T][None, :, :], np.array([n]))
     return SubsectionResult(n, states[0], outputs[0])
 
 

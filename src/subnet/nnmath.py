@@ -252,19 +252,6 @@ def mlp_backward(p: MLPParams, x, upstream_grad) -> tuple[Array, FlatParams]:
     return (gx[0] if single and gsingle else gx), FlatParams(grad, p.layout)
 
 
-def lipschitz_upper_bound(p: MLPParams) -> float:
-    """Crude global Lipschitz bound: product of layer Frobenius norms plus bypass norm.
-
-    Valid because tanh is 1-Lipschitz and ||W x|| <= ||W||_F ||x||.
-    """
-    bound = 1.0
-    for w in p.weights:
-        bound *= float(np.linalg.norm(w))
-    if p.bypass is not None:
-        bound += float(np.linalg.norm(p.bypass))
-    return bound
-
-
 # --------------------------------------------------------------------------
 # Adam
 # --------------------------------------------------------------------------

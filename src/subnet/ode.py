@@ -1,14 +1,12 @@
 """Fixed-step integration of the normalized state derivative (1/tau) * f.
 
-Two layers live here:
-
-* :func:`ode_step` / :func:`rollout` integrate an arbitrary callable
-  ``f(x, u) -> dx`` with Euler or classical RK4 under a zero-order-hold
-  input.  Used by the synthetic generator and for plain simulation.
-* ``mlp_ode_step_cached`` / ``mlp_ode_step_backward`` are the same schemes
-  specialized to an MLP state derivative, keeping the stage activations so
-  the whole step can be differentiated exactly (discretize-then-differentiate;
-  no adjoints).
+:func:`ode_step` is the one Euler / classical RK4 update: it integrates any
+callable ``f(x, u) -> dx`` under a zero-order-hold input, for the synthetic
+generator, the state-reconstruction oracle and the model alike.  The model's
+MLP derivative enters it through ``mlp_ode_step_plain`` (free runs) and
+``mlp_ode_step_cached``, which also keeps every stage's activations so that
+``mlp_ode_step_backward`` can differentiate the whole step exactly
+(discretize-then-differentiate; no adjoints).
 
 Only the ratio dt/tau enters the update, which the stage coefficients below
 preserve bit-exactly: halving dt and halving tau produce identical floats.
@@ -48,8 +46,9 @@ def ode_step(f, x, u, cfg: SolverConfig) -> Array:
     """Advance ``x`` by one sample interval dt under a constant (ZOH) input.
 
     ``f(x, u)`` is the raw state derivative; the integrated field is
-    ``(1/tau) f``.  Raises :class:`NumericFaultError` with the sub-step index
-    if the state leaves the finite range.
+    ``(1/tau) f``.  Raises :class:`NumericFaultError` with the sub-step index,
+    and for a batch ``(B, n_x)`` the first non-finite row, if the state leaves
+    the finite range.
     """
     x = np.asarray(x, dtype=np.float64)
     h = cfg.dt / cfg.substeps
@@ -64,79 +63,47 @@ def ode_step(f, x, u, cfg: SolverConfig) -> Array:
             k4 = np.asarray(f(x + (h / cfg.tau) * k3, u), dtype=np.float64)
             x = x + (h / (6.0 * cfg.tau)) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.isfinite(x).all():
-            raise NumericFaultError("non-finite state during integration", substep=i)
+            raise state_fault(x, substep=i)
     return x
 
 
-def rollout(f, x0, u_seq, cfg: SolverConfig) -> list[Array]:
-    """Apply :func:`ode_step` once per input sample; returns len(u_seq)+1 states."""
-    x = np.asarray(x0, dtype=np.float64)
-    states = [x]
-    for k, u in enumerate(u_seq):
-        if not np.isfinite(np.asarray(u, dtype=np.float64)).all():
-            raise InvalidArgumentError(f"non-finite input at step {k}")
-        try:
-            x = ode_step(f, x, u, cfg)
-        except NumericFaultError as e:
-            raise NumericFaultError("rollout failed", step=k, **e.context) from e
-        states.append(x)
-    return states
+def state_fault(x: Array, **context) -> NumericFaultError:
+    """The error for a non-finite state; a batch also names its first bad ``row``."""
+    if x.ndim == 2:
+        context["row"] = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
+    return NumericFaultError("non-finite state during integration", **context)
 
 
 # --------------------------------------------------------------------------
 # differentiable stepping for an MLP state derivative f([x; u])
 # --------------------------------------------------------------------------
 
-# per sub-step: list of (stage cache, stage upstream coefficient structure)
-StepCache = list[list[MLPCache]]
 
-
-def _f_eval(f_net: MLPParams, x: Array, u: Array) -> tuple[Array, MLPCache]:
-    z = np.concatenate([x, u], axis=1)
-    return mlp_forward_cached(f_net, z)
+def _mlp_field(f_net: MLPParams, caches: list[MLPCache] | None = None):
+    """``f(x, u)`` for batched :func:`ode_step`; appends each stage's cache to ``caches``."""
+    def f(x: Array, u: Array) -> Array:
+        y, cache = mlp_forward_cached(f_net, np.concatenate([x, u], axis=1))
+        if caches is not None:
+            caches.append(cache)
+        return y
+    return f
 
 
 def mlp_ode_step_plain(f_net: MLPParams, x: Array, u: Array, cfg: SolverConfig) -> Array:
-    """Batched ode_step for an MLP derivative without gradient caches."""
-    h = cfg.dt / cfg.substeps
-    for _ in range(cfg.substeps):
-        if cfg.method == "euler":
-            x = x + (h / cfg.tau) * _f_eval(f_net, x, u)[0]
-        else:
-            q = h / (2.0 * cfg.tau)
-            k1 = _f_eval(f_net, x, u)[0]
-            k2 = _f_eval(f_net, x + q * k1, u)[0]
-            k3 = _f_eval(f_net, x + q * k2, u)[0]
-            k4 = _f_eval(f_net, x + (h / cfg.tau) * k3, u)[0]
-            x = x + (h / (6.0 * cfg.tau)) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return x
+    """Batched :func:`ode_step` for an MLP derivative without gradient caches."""
+    return ode_step(_mlp_field(f_net), x, u, cfg)
 
 
 def mlp_ode_step_cached(
     f_net: MLPParams, x: Array, u: Array, cfg: SolverConfig
-) -> tuple[Array, StepCache]:
-    """Batched ode_step for an MLP derivative, caching every stage evaluation.
+) -> tuple[Array, list[MLPCache]]:
+    """Batched :func:`ode_step` for an MLP derivative, caching every stage evaluation.
 
-    ``x`` is ``(B, n_x)`` and ``u`` is ``(B, n_u)``.
+    ``x`` is ``(B, n_x)`` and ``u`` is ``(B, n_u)``.  The caches come back in
+    stage order: one per sub-step for Euler, four for RK4.
     """
-    h = cfg.dt / cfg.substeps
-    caches: StepCache = []
-    for i in range(cfg.substeps):
-        if cfg.method == "euler":
-            k1, c1 = _f_eval(f_net, x, u)
-            x = x + (h / cfg.tau) * k1
-            caches.append([c1])
-        else:
-            q = h / (2.0 * cfg.tau)
-            k1, c1 = _f_eval(f_net, x, u)
-            k2, c2 = _f_eval(f_net, x + q * k1, u)
-            k3, c3 = _f_eval(f_net, x + q * k2, u)
-            k4, c4 = _f_eval(f_net, x + (h / cfg.tau) * k3, u)
-            x = x + (h / (6.0 * cfg.tau)) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            caches.append([c1, c2, c3, c4])
-        if not np.isfinite(x).all():
-            raise NumericFaultError("non-finite state during integration", substep=i)
-    return x, caches
+    caches: list[MLPCache] = []
+    return ode_step(_mlp_field(f_net, caches), x, u, cfg), caches
 
 
 def _stage_backward(f_net, cache, g_k, n_x, acc) -> Array:
@@ -146,7 +113,7 @@ def _stage_backward(f_net, cache, g_k, n_x, acc) -> Array:
 
 
 def mlp_ode_step_backward(
-    f_net: MLPParams, caches: StepCache, g_next: Array, n_x: int, cfg: SolverConfig,
+    f_net: MLPParams, caches: list[MLPCache], g_next: Array, n_x: int, cfg: SolverConfig,
     acc: MLPParams,
 ) -> Array:
     """Reverse-mode pass through one cached ode step.
@@ -155,14 +122,14 @@ def mlp_ode_step_backward(
     Parameter gradients accumulate into the views of ``acc``.
     """
     h = cfg.dt / cfg.substeps
+    n_stages = 1 if cfg.method == "euler" else 4
     g = g_next
-    for stages in reversed(caches):
+    for s in range(len(caches) - n_stages, -1, -n_stages):
         if cfg.method == "euler":
-            (c1,) = stages
-            dx1 = _stage_backward(f_net, c1, (h / cfg.tau) * g, n_x, acc)
+            dx1 = _stage_backward(f_net, caches[s], (h / cfg.tau) * g, n_x, acc)
             g = g + dx1
         else:
-            c1, c2, c3, c4 = stages
+            c1, c2, c3, c4 = caches[s:s + 4]
             q = h / (2.0 * cfg.tau)
             r = h / (6.0 * cfg.tau)
             gx = g.copy()

@@ -21,7 +21,7 @@ from .model import (
     SubnetModel,
     _net_views,
     _sim_backward,
-    _sim_forward_cached,
+    _sim_forward,
     _windows,
     model_with_values,
     simulate_free_run,
@@ -58,10 +58,11 @@ def _loss_and_grad_normed(
     x0, psi_cache = mlp_forward_cached(m.psi_net, win)
     u_steps = _gather_steps(u_norm, ns, T)
     targets = _gather_steps(y_norm, ns, T)
-    _, outputs, h_caches, step_caches = _sim_forward_cached(m, x0, u_steps, ns)
+    caches = []
+    _, outputs = _sim_forward(m, x0, u_steps, ns, caches)
     diff = outputs - targets
     loss = float(np.sum(diff * diff)) / (B * T)
-    g_x0 = _sim_backward(m, h_caches, step_caches, (2.0 / (B * T)) * diff, f_acc, h_acc)
+    g_x0 = _sim_backward(m, caches, (2.0 / (B * T)) * diff, f_acc, h_acc)
     mlp_backward_cached(m.psi_net, psi_cache, g_x0, psi_acc)
     return loss, FlatParams(grad, m.layout)
 
@@ -116,10 +117,12 @@ def _full_loss_and_grad_normed(
     N = len(y_norm)
     grad = np.zeros_like(m.values)
     f_acc, h_acc, _ = _net_views(m, grad)
-    _, outputs, h_caches, step_caches = _sim_forward_cached(m, x0[None, :], u_norm[None, :, :])
+    caches = []
+    # the simulation starts at sample 0
+    _, outputs = _sim_forward(m, x0[None, :], u_norm[None, :, :], np.zeros(1, np.int64), caches)
     diff = outputs - y_norm[None, :, :]
     loss = float(np.sum(diff * diff)) / N
-    g_x0 = _sim_backward(m, h_caches, step_caches, (2.0 / N) * diff, f_acc, h_acc)
+    g_x0 = _sim_backward(m, caches, (2.0 / N) * diff, f_acc, h_acc)
     return loss, grad, g_x0[0]
 
 

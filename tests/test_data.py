@@ -9,7 +9,6 @@ from subnet.data import (
     generate_synthetic,
     load_csv,
     normalize_dataset,
-    sample_batch,
     save_csv,
     save_truth_csv,
     slice_dataset,
@@ -176,15 +175,16 @@ def test_valid_start_indices_count_formula_random():
 
 def test_sample_batch_full_permutation():
     idx = np.arange(7)
-    got = sample_batch(idx, 10, np.random.default_rng(0))
+    got = BatchSampler(idx, 10, np.random.default_rng(0)).sample_batch()
     assert sorted(got.tolist()) == list(range(7))
 
 
 def test_sample_batch_deterministic():
     idx = np.arange(100)
-    a = sample_batch(idx, 16, np.random.default_rng(5))
-    b = sample_batch(idx, 16, np.random.default_rng(5))
-    assert np.array_equal(a, b)
+    a = BatchSampler(idx, 16, np.random.default_rng(5))
+    b = BatchSampler(idx, 16, np.random.default_rng(5))
+    for _ in range(8):  # across an epoch boundary
+        assert np.array_equal(a.sample_batch(), b.sample_batch())
 
 
 def test_epoch_covers_every_index_once():

@@ -27,7 +27,6 @@ from subnet.evaluation import (
     save_probe_csv,
     save_sweep_csv,
     smoothness_probe,
-    state_rms,
     tau_sweep,
     verify_theorem2,
 )
@@ -95,15 +94,14 @@ def _frozen_model(x_const):
 def test_state_rms_zero_model():
     ds = Dataset(np.random.default_rng(0).standard_normal((30, 1)),
                  np.random.default_rng(1).standard_normal((30, 1)), 1.0)
-    rms_x, rms_f = state_rms(_frozen_model([0.0, 0.0]), ds)
-    assert rms_x == 0.0 and rms_f == 0.0
+    report = evaluate_model(_frozen_model([0.0, 0.0]), ds)
+    assert report.rms_x == 0.0 and report.rms_f == 0.0
 
 
 def test_state_rms_constant_ones():
     ds = Dataset(np.random.default_rng(0).standard_normal((30, 1)),
                  np.random.default_rng(1).standard_normal((30, 1)), 1.0)
-    rms_x, _ = state_rms(_frozen_model([1.0, 1.0]), ds)
-    assert rms_x == pytest.approx(1.0, rel=1e-12)
+    assert evaluate_model(_frozen_model([1.0, 1.0]), ds).rms_x == pytest.approx(1.0, rel=1e-12)
 
 
 def test_state_rms_matches_recomputation():
@@ -113,7 +111,8 @@ def test_state_rms_matches_recomputation():
     rng = np.random.default_rng(5)
     ds = Dataset(rng.standard_normal((40, 1)), rng.standard_normal((40, 1)), 0.5)
     m = init_model(2, 1, 1, 3, 3, SolverConfig("rk4", 1, 5.0, 0.5), IDENT, hidden=(6,), seed=2)
-    rms_x, rms_f = state_rms(m, ds)
+    report = evaluate_model(m, ds)
+    rms_x, rms_f = report.rms_x, report.rms_f
     tr = simulate_free_run(m, ds)
     x = tr.states[:-1]
     fv = mlp_forward(m.f_net, np.concatenate([x, ds.u[3:]], axis=1))
@@ -194,10 +193,12 @@ def test_probe_rejects_bad_args(toy_model, toy_dataset):
 
 
 def test_probe_csv(tmp_path):
-    save_probe_csv([ProbeResult(8, 1.5, 0), ProbeResult(32, 4.0, 1)], tmp_path / "p.csv", seed=3)
+    save_probe_csv([(3, [ProbeResult(8, 1.5, 0), ProbeResult(32, 4.0, 1)]),
+                    (None, [ProbeResult(8, 2.5, 2)])], tmp_path / "p.csv")
     text = (tmp_path / "p.csv").read_text().splitlines()
     assert text[0] == "setting,seed,metric,value"
-    assert text[1].startswith("8,3,l_hat,1.5")
+    assert text[1:] == ["8,3,l_hat,1.5", "8,3,n_failed,0", "32,3,l_hat,4.0", "32,3,n_failed,1",
+                        "8,,l_hat,2.5", "8,,n_failed,2"]
 
 
 # ---------------------------------------------------------------- reconstruction oracle
@@ -285,6 +286,21 @@ def test_tau_sweep_failures_become_nan_rows():
     cells = tau_sweep(train_ds, val_ds, test_ds, [0.25], [0], tc, 3, 2, 2, hidden=(6,))
     assert len(cells) == 1
     assert np.isnan(cells[0].test_rmse) and cells[0].error != ""
+
+
+def test_run_cell_fails_when_validation_never_finite():
+    # at twice the suggested dt/tau this model free-runs to overflow on the validation
+    # record, so no checkpoint ever had a finite validation RMSE
+    train_ds, val_ds, test_ds = [
+        generate_synthetic(SyntheticConfig(n_samples=512, noise_std=0.19, seed=s))[0]
+        for s in (0, 1, 2)]
+    tc = TrainConfig(T=30, batch_size=64, max_updates=0, seed=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cell = run_cell(train_ds, val_ds, test_ds, 0.9022, 0, tc, 2, 5, 5, hidden=(16, 16),
+                        method="euler", substeps=4)
+    assert np.isnan(cell.val_rmse) and np.isnan(cell.test_rmse)
+    assert np.isnan(cell.rms_x) and np.isnan(cell.rms_f)
+    assert "validation" in cell.error
 
 
 def test_sweep_csv_tidy(tmp_path):

@@ -4,8 +4,15 @@ import json
 import numpy as np
 import pytest
 
-from subnet.data import Dataset, NormStats, SyntheticConfig, generate_synthetic, make_system
-from subnet.errors import InvalidArgumentError, ParseError
+from subnet.data import (
+    Dataset,
+    NormStats,
+    SyntheticConfig,
+    fit_normalizer,
+    generate_synthetic,
+    make_system,
+)
+from subnet.errors import InvalidArgumentError, NumericFaultError, ParseError
 from subnet.model import (
     SubnetModel,
     constant_psi,
@@ -21,7 +28,7 @@ from subnet.model import (
 from subnet.nnmath import MLPParams, mlp_forward, mlp_init
 from subnet.ode import SolverConfig, ode_step
 from subnet.serialize import load_model, model_from_dict, model_to_dict, save_model
-from subnet.training import TrainConfig
+from subnet.training import TrainConfig, truncated_loss_and_grad
 
 IDENT = NormStats.identity(1, 1)
 
@@ -175,6 +182,29 @@ def test_generator_round_trip_wrapped_truth():
     err = res.outputs - trace.y_clean[5:45]
     assert float(np.sqrt(np.mean(err ** 2))) <= 1e-6
     assert np.abs(res.states[0] - trace.states[5]).max() <= 1e-9
+
+
+@pytest.mark.parametrize("entry", ["truncated_loss_and_grad", "simulate_subsection"])
+@pytest.mark.parametrize("mode", ["ct", "dt"])
+def test_rollout_fault_names_step_and_start(mode, entry):
+    ds, _ = generate_synthetic(SyntheticConfig(n_samples=200, seed=0))
+    m = init_model(2, 1, 1, 5, 5, SolverConfig("euler", 2, 1.0, ds.dt), fit_normalizer(ds),
+                   mode=mode, hidden=(8,), seed=0)
+    values = m.values.copy()
+    values[m.segments["f"]] *= 1e6
+    m = model_with_values(m, values)
+    start = 10 if entry == "truncated_loss_and_grad" else 50
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericFaultError) as e:
+        if entry == "truncated_loss_and_grad":
+            truncated_loss_and_grad(m, ds, [10, 50, 90], 100)
+        else:
+            simulate_subsection(m, ds, 50, 100)
+    ctx = e.value.context
+    assert ctx["start"] == start and 0 <= ctx["step"] < 100
+    if mode == "ct":
+        assert 0 <= ctx["substep"] < 2
+    else:
+        assert "substep" not in ctx
 
 
 def test_free_run_perfect_model():

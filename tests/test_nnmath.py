@@ -10,7 +10,6 @@ from subnet.nnmath import (
     adam_step,
     finite_diff_gradient,
     flatten_mlp,
-    lipschitz_upper_bound,
     mlp_backward,
     mlp_forward,
     mlp_init,
@@ -102,17 +101,6 @@ def test_forward_dim_mismatch():
     p = mlp_init([3, 4, 2], False, 0)
     with pytest.raises(InvalidArgumentError):
         mlp_forward(p, np.zeros(4))
-
-
-def test_forward_lipschitz_bound():
-    rng = np.random.default_rng(5)
-    for seed in range(10):
-        p = mlp_init([4, 10, 3], True, seed)
-        bound = lipschitz_upper_bound(p)
-        x1 = rng.uniform(-2, 2, 4)
-        x2 = rng.uniform(-2, 2, 4)
-        dy = np.linalg.norm(mlp_forward(p, x1) - mlp_forward(p, x2))
-        assert dy <= bound * np.linalg.norm(x1 - x2) + 1e-12
 
 
 # ---------------------------------------------------------------- backward

@@ -9,7 +9,6 @@ from subnet.ode import (
     mlp_ode_step_cached,
     mlp_ode_step_plain,
     ode_step,
-    rollout,
 )
 
 DECAY = lambda x, u: -x
@@ -44,26 +43,17 @@ def test_euler_single_step_exact():
     assert x[0] == 0.9
 
 
-def test_rollout_empty_inputs():
-    states = rollout(DECAY, np.array([2.0]), [], SolverConfig())
-    assert len(states) == 1 and states[0][0] == 2.0
-
-
-def test_rollout_frozen_field():
-    states = rollout(lambda x, u: np.zeros_like(x), np.array([1.5]),
-                     [np.zeros(1)] * 5, SolverConfig())
-    assert len(states) == 6
-    assert all(s[0] == 1.5 for s in states)
-
-
 def test_rollout_exponential_decay():
-    u = [np.zeros(1)] * 10
+    def end(cfg):
+        x = np.array([1.0])
+        for _ in range(10):
+            x = ode_step(DECAY, x, np.zeros(1), cfg)
+        return x
+
     # single RK4 substep: true global error vs e^-1 is ~3.3e-7
-    end1 = rollout(DECAY, np.array([1.0]), u, SolverConfig("rk4", 1, 1.0, 0.1))[-1]
-    assert abs(end1[0] - np.exp(-1.0)) <= 4e-7
+    assert abs(end(SolverConfig("rk4", 1, 1.0, 0.1))[0] - np.exp(-1.0)) <= 4e-7
     # two substeps brings it below 1e-7
-    end2 = rollout(DECAY, np.array([1.0]), u, SolverConfig("rk4", 2, 1.0, 0.1))[-1]
-    assert abs(end2[0] - np.exp(-1.0)) <= 1e-7
+    assert abs(end(SolverConfig("rk4", 2, 1.0, 0.1))[0] - np.exp(-1.0)) <= 1e-7
 
 
 def _decay_error(substeps):
@@ -99,23 +89,11 @@ def test_ode_step_numeric_fault_carries_substep():
     with pytest.raises(NumericFaultError) as e:
         ode_step(exploder, np.array([1.0]), np.zeros(1), SolverConfig("euler", 4, 1.0, 1.0))
     assert "substep" in str(e.value)
-
-
-def test_rollout_fault_carries_step_index():
-    calls = {"n": 0}
-
-    def f(x, u):
-        calls["n"] += 1
-        return x * (1e30 if calls["n"] > 8 else 1.0)
-
-    with pytest.raises(NumericFaultError) as e:
-        rollout(f, np.array([1.0]), [np.zeros(1)] * 20, SolverConfig("euler", 1, 1.0, 1.0))
-    assert "step" in e.value.context
-
-
-def test_rollout_rejects_nonfinite_input():
-    with pytest.raises(InvalidArgumentError):
-        rollout(DECAY, np.array([1.0]), [np.array([np.inf])], SolverConfig())
+    # a batch also names its first non-finite row
+    rows_apart = lambda x, u: x * np.array([[1.0], [1e200], [1e200]])
+    with np.errstate(over="ignore"), pytest.raises(NumericFaultError) as e:
+        ode_step(rows_apart, np.ones((3, 1)), np.zeros((3, 1)), SolverConfig("euler", 4, 1.0, 1.0))
+    assert e.value.context == {"substep": 1, "row": 1}
 
 
 # -------------------------------------------------------- differentiable path
