@@ -11,6 +11,8 @@ save/load round-trip is value-exact.
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,7 +24,6 @@ from .errors import (
     InvalidArgumentError,
     ParseError,
 )
-from .ode import SolverConfig, ode_step
 
 Array = np.ndarray
 
@@ -242,7 +243,7 @@ LINEAR2_DEFAULTS = {
     "input_offset": 0.0, "input_scale": 1.0,
 }
 
-_SYSTEMS = ("cascaded_tanks", "linear2")
+_SYSTEMS = {"cascaded_tanks": TANKS_DEFAULTS, "linear2": LINEAR2_DEFAULTS}
 _INPUTS = ("multisine", "random_steps")
 
 
@@ -261,18 +262,32 @@ class SyntheticConfig:
 
     def __post_init__(self):
         if self.system not in _SYSTEMS:
-            raise InvalidArgumentError(f"system must be one of {_SYSTEMS}")
+            raise InvalidArgumentError(f"system must be one of {tuple(_SYSTEMS)}")
         if self.input_kind not in _INPUTS:
             raise InvalidArgumentError(f"input must be one of {_INPUTS}")
         if self.n_samples < 2 or self.dt <= 0 or self.noise_std < 0:
             raise InvalidArgumentError("need n_samples >= 2, dt > 0, noise_std >= 0")
         if self.truth_substeps < 10:
             raise InvalidArgumentError("truth_substeps must be >= 10")
+        defaults = _SYSTEMS[self.system]
+        for key, value in self.params.items():
+            if key not in defaults:
+                raise InvalidArgumentError(
+                    f"unknown {self.system} parameter {key!r}; known: {sorted(defaults)}")
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise InvalidArgumentError(
+                    f"parameter {key!r} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
 class SyntheticSystem:
-    """Ground-truth dynamics in raw units: dx/dt = f(x, u), y = h(x)."""
+    """Ground-truth dynamics in raw units: dx/dt = f(x, u), y = h(x).
+
+    ``f`` is written on plain floats: it takes any indexable ``x`` and ``u``
+    (a list or a 1-D array) and returns a tuple of ``n_x`` floats, so the
+    generator's scalar loop and the array-based reconstruction oracle share
+    one definition of the physics.
+    """
 
     name: str
     n_x: int
@@ -294,33 +309,32 @@ class TruthTrace:
 
 
 def make_system(cfg: SyntheticConfig) -> SyntheticSystem:
+    p = {**_SYSTEMS[cfg.system], **cfg.params}
+    x0 = np.array([p["x01"], p["x02"]])
     if cfg.system == "cascaded_tanks":
-        p = {**TANKS_DEFAULTS, **cfg.params}
         k1, k2, k4 = p["k1"], p["k2"], p["k4"]
 
         def f(x, u):
-            r1 = np.sqrt(max(x[0], 0.0))
-            r2 = np.sqrt(max(x[1], 0.0))
-            return np.array([-k1 * r1 + k4 * u[0], k1 * r1 - k2 * r2])
+            r1 = math.sqrt(max(x[0], 0.0))
+            r2 = math.sqrt(max(x[1], 0.0))
+            return (-k1 * r1 + k4 * u[0], k1 * r1 - k2 * r2)
 
         def h(x):
             return np.array([x[1]])
 
-        return SyntheticSystem("cascaded_tanks", 2, 1, 1, f, h,
-                               np.array([p["x01"], p["x02"]]),
+        return SyntheticSystem("cascaded_tanks", 2, 1, 1, f, h, x0,
                                clamp=(0.0, p["x_max"]), params=p)
 
-    p = {**LINEAR2_DEFAULTS, **cfg.params}
-    A = np.array([[p["a11"], p["a12"]], [p["a21"], p["a22"]]])
-    B = np.array([p["b1"], p["b2"]])
+    a11, a12, a21, a22 = p["a11"], p["a12"], p["a21"], p["a22"]
+    b1, b2 = p["b1"], p["b2"]
     C = np.array([p["c1"], p["c2"]])
-    return SyntheticSystem(
-        "linear2", 2, 1, 1,
-        lambda x, u: A @ x + B * u[0],
-        lambda x: np.array([C @ x]),
-        np.array([p["x01"], p["x02"]]),
-        params=p,
-    )
+
+    def f(x, u):
+        return (a11 * x[0] + a12 * x[1] + b1 * u[0],
+                a21 * x[0] + a22 * x[1] + b2 * u[0])
+
+    return SyntheticSystem("linear2", 2, 1, 1, f, lambda x: np.array([C @ x]), x0,
+                           params=p)
 
 
 def _multisine(n: int, dt: float, rng: np.random.Generator, n_sines: int = 20) -> Array:
@@ -354,27 +368,40 @@ def generate_input(cfg: SyntheticConfig, system: SyntheticSystem,
 def generate_synthetic(cfg: SyntheticConfig) -> tuple[Dataset, TruthTrace]:
     """Integrate the chosen system under a seeded excitation and add output noise.
 
-    Integration is RK4 with ``truth_substeps`` sub-intervals per sample under
-    ZOH input; tank states are clamped to the overflow box after every
-    sub-interval.
+    Integration is classical RK4 on plain floats (tau = 1), with
+    ``truth_substeps`` sub-intervals of ``dt / truth_substeps`` per sample
+    under ZOH input; tank states are clamped to the overflow box after every
+    sub-interval.  Raises :class:`GenerationError` naming the sample and
+    sub-step when a state becomes non-finite (checked before the clamp), and
+    the sample when a state grows past 1e9.
     """
     system = make_system(cfg)
     input_rng, noise_rng = [np.random.default_rng(s)
                             for s in np.random.SeedSequence(cfg.seed).spawn(2)]
     u = generate_input(cfg, system, input_rng)
 
-    sub_cfg = SolverConfig("rk4", 1, 1.0, cfg.dt / cfg.truth_substeps)
-    x = system.x0.astype(np.float64)
+    f, clamp = system.f, system.clamp
+    h = cfg.dt / cfg.truth_substeps
+    q, r = h / 2.0, h / 6.0
+    x = [float(v) for v in system.x0]
     states = np.empty((cfg.n_samples, system.n_x))
     for k in range(cfg.n_samples):
         states[k] = x
         if k == cfg.n_samples - 1:
             break
-        for _ in range(cfg.truth_substeps):
-            x = ode_step(system.f, x, u[k], sub_cfg)
-            if system.clamp is not None:
-                x = np.clip(x, system.clamp[0], system.clamp[1])
-        if not np.isfinite(x).all() or np.abs(x).max() > 1e9:
+        uk = u[k].tolist()
+        for i in range(cfg.truth_substeps):
+            k1 = f(x, uk)
+            k2 = f([a + q * b for a, b in zip(x, k1)], uk)
+            k3 = f([a + q * b for a, b in zip(x, k2)], uk)
+            k4 = f([a + h * b for a, b in zip(x, k3)], uk)
+            x = [a + r * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+            if not all(map(math.isfinite, x)):
+                raise GenerationError(f"non-finite state at sample {k + 1}, substep {i}")
+            if clamp is not None:
+                x = [min(max(v, clamp[0]), clamp[1]) for v in x]  # as np.clip, to the bit
+        if max(map(abs, x)) > 1e9:
             raise GenerationError(f"trajectory diverged at sample {k + 1}")
 
     y_clean = np.stack([system.h(states[k]) for k in range(cfg.n_samples)])

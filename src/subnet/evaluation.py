@@ -185,7 +185,8 @@ def tau_sweep(
     method: str = "rk4", substeps: int = 1,
 ) -> list[SweepCell]:
     """Train/evaluate over the (dt/tau) x seed grid; failures become NaN rows."""
-    if len(list(dt_over_tau_grid)) == 0 or len(list(seeds)) == 0:
+    dt_over_tau_grid, seeds = list(dt_over_tau_grid), list(seeds)
+    if not dt_over_tau_grid or not seeds:
         raise InvalidArgumentError("grid and seeds must be nonempty")
     cells = []
     for ratio in dt_over_tau_grid:

@@ -1,8 +1,10 @@
 """Fixed-step integration of the normalized state derivative (1/tau) * f.
 
-:func:`ode_step` is the one Euler / classical RK4 update: it integrates any
-callable ``f(x, u) -> dx`` under a zero-order-hold input, for the synthetic
-generator, the state-reconstruction oracle and the model alike.  The model's
+:func:`ode_step` is the one array Euler / classical RK4 update: it integrates
+any callable ``f(x, u) -> dx`` under a zero-order-hold input, for the
+state-reconstruction oracle and the model alike.  (The synthetic generator
+steps its ground truth with its own RK4 loop on plain floats, where numpy
+dispatch on 2-element arrays would cost ~4x the time.)  The model's
 MLP derivative enters it through ``mlp_ode_step_plain`` (free runs) and
 ``mlp_ode_step_cached``, which also keeps every stage's activations so that
 ``mlp_ode_step_backward`` can differentiate the whole step exactly

@@ -95,6 +95,21 @@ def test_generate_writes_loadable_csvs(tmp_path):
     assert echo["synthetic"]["seed"] == 3  # resolved from the top-level seed
 
 
+@pytest.mark.parametrize("params, key", [
+    ({"k_1": 0.9}, "'k_1'"),
+    ({"k1": float("inf")}, "'k1'"),  # written as JSON Infinity
+])
+def test_generate_rejects_bad_params(tmp_path, capsys, params, key):
+    out = tmp_path / "gen"
+    cfg = _write(tmp_path, "g.json", {
+        "command": "generate", "out": str(out),
+        "synthetic": {"system": "cascaded_tanks", "n_samples": 64, "params": params},
+    })
+    assert main(["generate", "--config", str(cfg)]) == 1
+    assert key in capsys.readouterr().err
+    assert not (out / "dataset.csv").exists()
+
+
 def test_train_eval_end_to_end(tmp_path):
     train_csv = _gen(tmp_path, "tr", seed=0)
     val_csv = _gen(tmp_path, "va", seed=1)

@@ -6,8 +6,10 @@ from subnet.data import (
     Dataset,
     SyntheticConfig,
     fit_normalizer,
+    generate_input,
     generate_synthetic,
     load_csv,
+    make_system,
     normalize_dataset,
     save_csv,
     save_truth_csv,
@@ -16,9 +18,11 @@ from subnet.data import (
 )
 from subnet.errors import (
     DegenerateDataError,
+    GenerationError,
     InvalidArgumentError,
     ParseError,
 )
+from subnet.ode import SolverConfig, ode_step
 
 # ---------------------------------------------------------------- dataset / csv
 
@@ -270,3 +274,98 @@ def test_synthetic_config_validation():
         SyntheticConfig(noise_std=-1.0)
     with pytest.raises(InvalidArgumentError):
         SyntheticConfig(truth_substeps=5)
+
+
+@pytest.mark.parametrize("system, params, match", [
+    ("cascaded_tanks", {"k_1": 0.9}, "'k_1'"),
+    ("cascaded_tanks", {"a11": 0.5}, "'a11'"),  # a linear2 name
+    ("linear2", {"k1": 0.5}, "'k1'"),
+    ("cascaded_tanks", {"k1": float("inf")}, "'k1'.*finite"),
+    ("linear2", {"b2": float("nan")}, "'b2'.*finite"),
+])
+def test_synthetic_config_rejects_bad_params(system, params, match):
+    with pytest.raises(InvalidArgumentError, match=match):
+        SyntheticConfig(system=system, params=params)
+
+
+@pytest.mark.parametrize("params, where", [
+    ({"k4": 1e308, "input_offset": 2.0}, "sample 1, substep 0"),
+    # the lower tank overflows to +inf, which a clamp to [0, 10] would hide
+    ({"k2": -1e308, "x02": 5.0}, "sample 1, substep 0"),
+    ({"k4": 1e307, "input_offset": 0.0, "input_scale": 1.0}, "sample 49, substep 0"),
+])
+def test_generation_fault_names_sample_and_substep(params, where):
+    with pytest.raises(GenerationError, match=where):
+        generate_synthetic(SyntheticConfig(n_samples=100, params=params))
+
+
+def _reference_generate(cfg):
+    """The array algorithm: ode_step on numpy fields, np.clip after every sub-step."""
+    system = make_system(cfg)
+    p = system.params
+    if cfg.system == "cascaded_tanks":
+        def f(x, u):
+            r1, r2 = np.sqrt(max(x[0], 0.0)), np.sqrt(max(x[1], 0.0))
+            return np.array([-p["k1"] * r1 + p["k4"] * u[0], p["k1"] * r1 - p["k2"] * r2])
+    else:
+        A = np.array([[p["a11"], p["a12"]], [p["a21"], p["a22"]]])
+        B = np.array([p["b1"], p["b2"]])
+
+        def f(x, u):
+            return A @ x + B * u[0]
+
+    input_rng, noise_rng = [np.random.default_rng(s)
+                            for s in np.random.SeedSequence(cfg.seed).spawn(2)]
+    u = generate_input(cfg, system, input_rng)
+    sub = SolverConfig("rk4", 1, 1.0, cfg.dt / cfg.truth_substeps)
+    x = system.x0.astype(np.float64)
+    states = np.empty((cfg.n_samples, system.n_x))
+    for k in range(cfg.n_samples):
+        states[k] = x
+        for _ in range(cfg.truth_substeps if k < cfg.n_samples - 1 else 0):
+            x = ode_step(f, x, u[k], sub)
+            if system.clamp is not None:
+                x = np.clip(x, *system.clamp)
+    y_clean = np.stack([system.h(s) for s in states])
+    y = y_clean + noise_rng.standard_normal(y_clean.shape) * cfg.noise_std
+    return u, y, states, y_clean
+
+
+def _generated(cfg):
+    ds, trace = generate_synthetic(cfg)
+    return ds.u, ds.y, trace.states, trace.y_clean
+
+
+@pytest.mark.parametrize("cfg", [
+    SyntheticConfig(n_samples=60, seed=1, noise_std=0.1),
+    SyntheticConfig(n_samples=60, seed=2, input_kind="random_steps"),
+    SyntheticConfig(system="linear2", n_samples=60, dt=0.5, seed=3, noise_std=0.1),
+    SyntheticConfig(system="linear2", n_samples=60, dt=0.5, seed=4, truth_substeps=10),
+    SyntheticConfig(system="linear2", n_samples=60, dt=0.5, seed=5, input_kind="random_steps"),
+    SyntheticConfig(system="linear2", n_samples=60, dt=0.5, seed=6, input_kind="random_steps",
+                    truth_substeps=10),
+], ids=["tanks", "tanks-steps", "linear2", "linear2-sub10", "linear2-steps",
+        "linear2-steps-sub10"])
+def test_generator_bit_equal_to_array_reference(cfg):
+    for got, want in zip(_generated(cfg), _reference_generate(cfg)):
+        assert np.array_equal(got, want)
+
+
+def test_generator_bit_equal_to_array_reference_through_both_clamps():
+    cfg = SyntheticConfig(n_samples=60, seed=0, params={"input_offset": 2.0, "input_scale": 1.5})
+    got = _generated(cfg)
+    for g, want in zip(got, _reference_generate(cfg)):
+        assert np.array_equal(g, want)
+    states = got[2]
+    assert (states[1:] == 0.0).any() and (states == 10.0).any()
+
+
+def test_generator_linear2_general_matrix_close_to_array_reference():
+    # A @ x goes through BLAS, which may round the two products differently
+    # from the explicit scalar sum: equal to within a few ulps, not bit for bit
+    cfg = SyntheticConfig(system="linear2", n_samples=60, dt=0.5, seed=7, noise_std=0.1,
+                          params={"a11": -0.7, "a12": 1.3, "b1": 0.4})
+    got, want = _generated(cfg), _reference_generate(cfg)
+    assert np.array_equal(got[0], want[0])
+    for g, w in zip(got[1:], want[1:]):
+        assert np.allclose(g, w, rtol=0.0, atol=1e-14)

@@ -279,6 +279,15 @@ def test_tau_sweep_single_cell_equals_plain_run():
     assert cells[0] == direct  # bitwise reproducible cell
 
 
+def test_tau_sweep_accepts_generators():
+    train_ds, val_ds, test_ds = _tiny_splits()
+    tc = TrainConfig(T=8, batch_size=8, max_updates=20, eval_every=10, patience=20, seed=0)
+    cells = tau_sweep(train_ds, val_ds, test_ds, (r for r in [0.25]), (s for s in [0]),
+                      tc, 2, 2, 2, hidden=(6,))
+    assert cells == tau_sweep(train_ds, val_ds, test_ds, [0.25], [0], tc, 2, 2, 2,
+                              hidden=(6,))
+
+
 def test_tau_sweep_failures_become_nan_rows():
     train_ds, val_ds, test_ds = _tiny_splits()
     tc = TrainConfig(T=8, batch_size=8, max_updates=20, eval_every=10, patience=20, seed=0)
