@@ -32,11 +32,12 @@ from .model import (
     SubnetModel,
     _sim_forward,
     _windows,
+    forward_rows,
     model_flatten,
     model_with_values,
     simulate_free_run,
 )
-from .nnmath import Array, mlp_forward, mlp_forward_cached
+from .nnmath import Array, mlp_forward_cached
 from .ode import SolverConfig, ode_step
 from .training import TrainConfig, train
 
@@ -80,7 +81,7 @@ def _trace_rms(m: SubnetModel, trace: EvalTrace, ds: Dataset) -> tuple[float, fl
     """RMS of the free-run states and of the raw f evaluations along them."""
     x = trace.states[:-1]
     u_norm = (ds.u[m.lag:] - m.norm.u_mean) / m.norm.u_std
-    f_vals = mlp_forward(m.f_net, np.concatenate([x, u_norm], axis=1))
+    f_vals = forward_rows(m.f_net, np.concatenate([x, u_norm], axis=1))
     return float(np.sqrt(np.mean(x * x))), float(np.sqrt(np.mean(f_vals * f_vals)))
 
 

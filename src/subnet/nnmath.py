@@ -13,6 +13,14 @@ shape ``(fan_out, fan_in)``.  The optional linear bypass has shape
 ``(input_dim, output_dim)`` and adds ``x @ bypass`` to the final output.
 Flattened layout order is ``W0, b0, W1, b1, ..., bypass``, each ravelled
 row-major.
+
+The forward and backward kernels run at batch 1 in free runs, where numpy's
+per-call dispatch costs more than the arithmetic.  They compute exactly the
+floats of the textbook ``@`` form above, but call ``np.dot`` (cheaper to
+dispatch than ``@``, same bits), ``np.add.reduce`` instead of ``sum``, and
+apply the bias add, tanh and bypass add in place on the product just
+computed.  They never write into their inputs ``x`` and ``gy`` or into a
+cache, which the backward pass reads after the forward pass returns.
 """
 
 from __future__ import annotations
@@ -198,11 +206,14 @@ def mlp_forward_cached(p: MLPParams, x: Array) -> tuple[Array, MLPCache]:
     a = x
     hidden = []
     for w, b in zip(p.weights[:-1], p.biases[:-1]):
-        a = np.tanh(a @ w.T + b)
+        a = np.dot(a, w.T)
+        a += b
+        np.tanh(a, out=a)
         hidden.append(a)
-    y = a @ p.weights[-1].T + p.biases[-1]
+    y = np.dot(a, p.weights[-1].T)
+    y += p.biases[-1]
     if p.bypass is not None:
-        y = y + x @ p.bypass
+        y += np.dot(x, p.bypass)
     return y, (x, hidden)
 
 
@@ -217,15 +228,18 @@ def mlp_backward_cached(p: MLPParams, cache: MLPCache, gy: Array, acc: MLPParams
     g = gy
     for i in range(len(hidden), -1, -1):
         if i < len(hidden):
-            g = g * (1.0 - hidden[i] * hidden[i])
+            d = hidden[i] * hidden[i]
+            np.subtract(1.0, d, out=d)
+            d *= g
+            g = d
         w_acc, b_acc = acc.weights[i], acc.biases[i]
-        w_acc += g.T @ acts[i]
-        b_acc += g.sum(axis=0)
-        g = g @ p.weights[i]
+        w_acc += np.dot(g.T, acts[i])
+        b_acc += np.add.reduce(g, axis=0)
+        g = np.dot(g, p.weights[i])
     if p.bypass is not None:
         g_bypass = acc.bypass
-        g_bypass += x.T @ gy
-        g = g + gy @ p.bypass.T
+        g_bypass += np.dot(x.T, gy)
+        g += np.dot(gy, p.bypass.T)
     return g
 
 

@@ -5,7 +5,8 @@ any callable ``f(x, u) -> dx`` under a zero-order-hold input, for the
 state-reconstruction oracle and the model alike.  (The synthetic generator
 steps its ground truth with its own RK4 loop on plain floats, where numpy
 dispatch on 2-element arrays would cost ~4x the time.)  The model's
-MLP derivative enters it through ``mlp_ode_step_plain`` (free runs) and
+MLP derivative enters it through ``mlp_ode_step_plain`` (rollouts without
+gradients: free runs, ``simulate_subsection`` and the smoothness probe) and
 ``mlp_ode_step_cached``, which also keeps every stage's activations so that
 ``mlp_ode_step_backward`` can differentiate the whole step exactly
 (discretize-then-differentiate; no adjoints).

@@ -23,6 +23,7 @@ from .model import (
     _sim_backward,
     _sim_forward,
     _windows,
+    forward_rows,
     model_with_values,
     simulate_free_run,
 )
@@ -325,7 +326,7 @@ def suggest_tau(ds: Dataset, pilot: SubnetModel | None = None) -> float:
         trace = simulate_free_run(pilot, ds)
         x = trace.states[:-1]
         u_norm = (ds.u[pilot.lag:] - pilot.norm.u_mean) / pilot.norm.u_std
-        dx = mlp_forward(pilot.f_net, np.concatenate([x, u_norm], axis=1)) / pilot.solver.tau
+        dx = forward_rows(pilot.f_net, np.concatenate([x, u_norm], axis=1)) / pilot.solver.tau
         rms_x = float(np.sqrt(np.mean(x * x)))
         rms_dx = float(np.sqrt(np.mean(dx * dx)))
         if rms_x == 0.0:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,8 +14,12 @@ from subnet.data import (
     make_system,
 )
 from subnet.errors import InvalidArgumentError, NumericFaultError, ParseError
+from subnet import model as model_mod
+from subnet import ode as ode_mod
 from subnet.model import (
+    ROW_BLOCK,
     SubnetModel,
+    _sim_forward,
     constant_psi,
     dt_step,
     encode,
@@ -232,6 +237,71 @@ def test_free_run_cct_shape_count():
     ds = Dataset(rng.standard_normal((1024, 1)), rng.standard_normal((1024, 1)), 4.0)
     m = init_model(2, 1, 1, 5, 5, SolverConfig(tau=8.0, dt=4.0), IDENT, hidden=(4,), seed=0)
     assert simulate_free_run(m, ds).y_pred.shape[0] == 1019
+
+
+def _contracting_model(mode):
+    """Random 8x8 nets whose f has a contracting linear part, so long rollouts stay bounded."""
+    m = init_model(2, 1, 1, 3, 3, SolverConfig("rk4", 2, 2.0, 0.5), IDENT,
+                   mode=mode, hidden=(8, 8), seed=3)
+    m.f_net.bypass[:2] = -np.eye(2) if mode == "ct" else 0.5 * np.eye(2)
+    return m
+
+
+def _per_step_rollout(m, x0, u_steps):
+    """Reference rollout evaluating h at every step, before the state update."""
+    B, T = u_steps.shape[:2]
+    states, outputs = np.empty((B, T + 1, m.n_x)), np.empty((B, T, m.n_y))
+    f = lambda x, u: mlp_forward(m.f_net, np.concatenate([x, u], axis=1))
+    x = x0
+    for k in range(T):
+        states[:, k] = x
+        outputs[:, k] = mlp_forward(m.h_net, x)
+        x = f(x, u_steps[:, k]) if m.mode == "dt" else ode_step(f, x, u_steps[:, k], m.solver)
+    states[:, T] = x
+    return states, outputs
+
+
+@pytest.mark.parametrize("mode, B, T", [("ct", 1, ROW_BLOCK + 37), ("ct", 3, 50),
+                                        ("ct", 2, 0), ("dt", 2, 60)])
+def test_no_gradient_rollout_matches_per_step_h(monkeypatch, mode, B, T):
+    # without caches h runs after the loop on the stacked states, in row blocks:
+    # states are the same floats, outputs agree to a few ulps
+    m = _contracting_model(mode)
+    rng = np.random.default_rng(B + T)
+    x0, u_steps = rng.standard_normal((B, 2)), rng.standard_normal((B, T, 1))
+    ref_states, ref_outputs = _per_step_rollout(m, x0, u_steps)
+
+    rows = []
+    for ns in (model_mod, ode_mod):
+        def spy(net, x, _fwd=ns.mlp_forward_cached):
+            rows.append(x.shape[0])
+            return _fwd(net, x)
+        monkeypatch.setattr(ns, "mlp_forward_cached", spy)
+    states, outputs = _sim_forward(m, x0, u_steps, np.arange(B))
+
+    assert np.array_equal(states, ref_states)
+    assert outputs.shape == (B, T, 1)
+    if T:
+        assert np.abs(outputs - ref_outputs).max() <= 1e-12 * ref_outputs.std()
+    assert max(rows, default=0) <= ROW_BLOCK
+    # f runs once per step in dt mode, 2 RK4 sub-steps of 4 stages in ct; the rest is h
+    n_f_calls = T * (1 if mode == "dt" else 2 * 4)
+    assert len(rows) - n_f_calls == math.ceil(B * T / ROW_BLOCK)
+
+
+@pytest.mark.parametrize("mode", ["ct", "dt"])
+def test_gradient_rollout_evaluates_h_per_step(mode):
+    # with caches the rollout keeps the per-step h of the reference, bit for bit,
+    # so training arithmetic does not depend on how free runs evaluate h
+    m = _contracting_model(mode)
+    rng = np.random.default_rng(7)
+    x0, u_steps = rng.standard_normal((4, 2)), rng.standard_normal((4, 30, 1))
+    ref_states, ref_outputs = _per_step_rollout(m, x0, u_steps)
+    caches = []
+    states, outputs = _sim_forward(m, x0, u_steps, np.arange(4), caches)
+    assert np.array_equal(states, ref_states) and np.array_equal(outputs, ref_outputs)
+    assert len(caches) == 30
+    assert all(np.array_equal(h_cache[0], states[:, k]) for k, (h_cache, _) in enumerate(caches))
 
 
 # ---------------------------------------------------------------- dt mode

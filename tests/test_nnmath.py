@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from subnet.errors import InvalidArgumentError, NumericFaultError
+from subnet.model import constant_psi
 from subnet.nnmath import (
     MLPParams,
     adam_init,
@@ -11,7 +12,9 @@ from subnet.nnmath import (
     finite_diff_gradient,
     flatten_mlp,
     mlp_backward,
+    mlp_backward_cached,
     mlp_forward,
+    mlp_forward_cached,
     mlp_init,
     unflatten_mlp,
 )
@@ -151,6 +154,76 @@ def test_backward_fd_various_shapes(sizes, seed):
         for e in np.eye(sizes[0])
     ])
     assert rel_err(gx, fd_x).max() <= 1e-5
+
+
+# ---------------------------------------------------------------- kernels vs the textbook form
+
+
+def _textbook_forward(p, x):
+    a, hidden = x, []
+    for w, b in zip(p.weights[:-1], p.biases[:-1]):
+        a = np.tanh(a @ w.T + b)
+        hidden.append(a)
+    y = a @ p.weights[-1].T + p.biases[-1]
+    if p.bypass is not None:
+        y = y + x @ p.bypass
+    return y, hidden
+
+
+def _textbook_backward(p, x, hidden, gy, acc):
+    acts = [x] + hidden
+    g = gy
+    for i in range(len(hidden), -1, -1):
+        if i < len(hidden):
+            g = g * (1.0 - hidden[i] * hidden[i])
+        w_acc, b_acc = acc.weights[i], acc.biases[i]
+        w_acc += g.T @ acts[i]
+        b_acc += g.sum(axis=0)
+        g = g @ p.weights[i]
+    if p.bypass is not None:
+        g_bypass = acc.bypass
+        g_bypass += x.T @ gy
+        g = g + gy @ p.bypass.T
+    return g
+
+
+_KERNEL_NETS = {
+    "tanks_f": lambda: mlp_init([3, 64, 64, 2], True, 1),
+    "tanks_h": lambda: mlp_init([2, 64, 64, 1], True, 2),
+    "psi": lambda: mlp_init([10, 64, 64, 2], True, 3),
+    "no_bypass": lambda: mlp_init([3, 8, 2], False, 4),
+    "constant_psi": lambda: constant_psi(2, [0.3, -1.1]),
+}
+
+
+@pytest.mark.parametrize("B", [1, 16, 64, 1000])
+@pytest.mark.parametrize("net", sorted(_KERNEL_NETS))
+def test_kernels_bit_identical_to_textbook_form(net, B):
+    # the kernels dispatch differently (np.dot, in-place updates) but must
+    # compute the same floats and never write into x, gy or the cache
+    p = _KERNEL_NETS[net]()
+    rng = np.random.default_rng(B)
+    x = rng.standard_normal((B, p.input_dim))
+    gy = rng.standard_normal((B, p.output_dim))
+    x_in, gy_in = x.copy(), gy.copy()
+
+    y_ref, hidden_ref = _textbook_forward(p, x)
+    y, (cx, hidden) = mlp_forward_cached(p, x)
+    assert np.array_equal(y, y_ref) and cx is x
+    assert len(hidden) == len(hidden_ref)
+    assert all(np.array_equal(a, b) for a, b in zip(hidden, hidden_ref))
+    assert np.array_equal(x, x_in)
+
+    hidden_in = [a.copy() for a in hidden]
+    acc_ref = MLPParams.over(np.zeros_like(p.values), p.layout)
+    acc = MLPParams.over(np.zeros_like(p.values), p.layout)
+    for _ in range(2):  # the second call accumulates onto the first
+        gx_ref = _textbook_backward(p, x, hidden_ref, gy, acc_ref)
+        gx = mlp_backward_cached(p, (cx, hidden), gy, acc)
+        assert np.array_equal(gx, gx_ref)
+        assert np.array_equal(x, x_in) and np.array_equal(gy, gy_in)
+        assert all(np.array_equal(a, b) for a, b in zip(hidden, hidden_in))
+    assert np.array_equal(acc.values, acc_ref.values)
 
 
 # ---------------------------------------------------------------- flatten
