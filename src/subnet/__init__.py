@@ -59,11 +59,9 @@ from .nnmath import (
     adam_init,
     adam_step,
     finite_diff_gradient,
-    flatten_mlp,
     mlp_backward,
     mlp_forward,
     mlp_init,
-    unflatten_mlp,
 )
 from .ode import SolverConfig, ode_step
 from .serialize import load_model, model_from_dict, model_to_dict, save_model

@@ -252,14 +252,8 @@ def _resolve_tau(cfg: RunConfig, train_ds: Dataset) -> RunConfig:
     return cfg
 
 
-def _train_cfg(cfg: RunConfig, seed: int) -> TrainConfig:
-    t = cfg.train
-    return TrainConfig(
-        T=t.T, batch_size=t.batch_size, max_updates=t.max_updates,
-        eval_every=t.eval_every, patience=t.patience, lr=t.lr,
-        beta1=t.beta1, beta2=t.beta2, eps=t.eps, seed=seed,
-        mode=cfg.model.mode, loss_target=t.loss_target, clip_norm=t.clip_norm,
-    )
+def _train_cfg(cfg: RunConfig) -> TrainConfig:
+    return TrainConfig(**cfg.train.model_dump(), seed=cfg.seed, mode=cfg.model.mode)
 
 
 def _synth_cfg(cfg: RunConfig) -> SyntheticConfig:
@@ -271,11 +265,15 @@ def _synth_cfg(cfg: RunConfig) -> SyntheticConfig:
     )
 
 
-def _map_cells(fn, payloads, threads: int):
-    if threads <= 1 or len(payloads) <= 1:
-        return [fn(*p) for p in payloads]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, *zip(*payloads)))
+def _sweep(cfg: RunConfig, splits: tuple[Dataset, Dataset, Dataset], grid, seeds) -> list:
+    """:func:`evaluation.tau_sweep` over ``grid`` x ``seeds``, with ``cfg.threads`` workers."""
+    m = cfg.model
+    args = (*splits, grid, seeds, _train_cfg(cfg), m.n_x, m.n_a, m.n_b, tuple(m.hidden),
+            cfg.solver.method, cfg.solver.substeps)
+    if cfg.threads <= 1 or len(grid) * len(seeds) <= 1:
+        return ev.tau_sweep(*args)
+    with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+        return ev.tau_sweep(*args, map=pool.map)
 
 
 # --------------------------------------------------------------------------
@@ -312,7 +310,7 @@ def _cmd_train(cfg: RunConfig, out: Path) -> RunConfig:
     cfg = cfg.model_copy(deep=True)
     cfg.model.seed = cfg.seed if cfg.model.seed is None else cfg.model.seed
     m0 = _build_model(cfg, train_ds)
-    best, hist = train(m0, train_ds, val_ds, _train_cfg(cfg, cfg.seed))
+    best, hist = train(m0, train_ds, val_ds, _train_cfg(cfg))
     (out / "model.json").write_text(hist.best_checkpoint + "\n", encoding="utf-8")
     save_history_csv(hist, out / "history.csv")
     metrics = {
@@ -365,13 +363,7 @@ def _cmd_sweep(cfg: RunConfig, out: Path) -> RunConfig:
     train_ds, val_ds, test_ds = _load_splits(cfg)
     if test_ds is None:
         raise ConfigError("sweep-tau needs data.test_path")
-    payloads = [
-        (train_ds, val_ds, test_ds, float(ratio), int(seed), _train_cfg(cfg, int(seed)),
-         cfg.model.n_x, cfg.model.n_a, cfg.model.n_b, tuple(cfg.model.hidden),
-         cfg.solver.method, cfg.solver.substeps)
-        for ratio in cfg.sweep.dt_over_tau for seed in cfg.sweep.seeds
-    ]
-    cells = _map_cells(ev.run_cell, payloads, cfg.threads)
+    cells = _sweep(cfg, (train_ds, val_ds, test_ds), cfg.sweep.dt_over_tau, cfg.sweep.seeds)
     ev.save_sweep_csv(cells, out / "sweep.csv")
     for ratio in cfg.sweep.dt_over_tau:
         vals = [c.test_rmse for c in cells if c.dt_over_tau == float(ratio)]
@@ -438,14 +430,9 @@ def _cmd_ensemble(cfg: RunConfig, out: Path) -> RunConfig:
     if test_ds is None:
         raise ConfigError("ensemble needs data.test_path")
     cfg = _resolve_tau(cfg, train_ds)
-    ratio = train_ds.dt / float(cfg.solver.tau)
-    payloads = [
-        (train_ds, val_ds, test_ds, ratio, int(seed), _train_cfg(cfg, int(seed)),
-         cfg.model.n_x, cfg.model.n_a, cfg.model.n_b, tuple(cfg.model.hidden),
-         cfg.solver.method, cfg.solver.substeps)
-        for seed in cfg.ensemble.seeds
-    ]
-    cells = _map_cells(ev.run_cell, payloads, cfg.threads)
+    # an ensemble is a sweep with the one ratio dt/tau
+    cells = _sweep(cfg, (train_ds, val_ds, test_ds), [train_ds.dt / float(cfg.solver.tau)],
+                   cfg.ensemble.seeds)
     with open(out / "ensemble.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["seed", "test_rmse", "val_rmse", "rms_x", "rms_f"])

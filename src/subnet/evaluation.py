@@ -7,6 +7,7 @@ inputs/outputs of a known synthetic system.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 from dataclasses import dataclass, replace
 
@@ -32,10 +33,11 @@ from .model import (
     SubnetModel,
     _sim_forward,
     _windows,
-    forward_rows,
+    init_model,
     model_flatten,
     model_with_values,
     simulate_free_run,
+    trace_rms,
 )
 from .nnmath import Array, mlp_forward_cached
 from .ode import SolverConfig, ode_step
@@ -77,17 +79,9 @@ class EvalReport:
     trace: EvalTrace
 
 
-def _trace_rms(m: SubnetModel, trace: EvalTrace, ds: Dataset) -> tuple[float, float]:
-    """RMS of the free-run states and of the raw f evaluations along them."""
-    x = trace.states[:-1]
-    u_norm = (ds.u[m.lag:] - m.norm.u_mean) / m.norm.u_std
-    f_vals = forward_rows(m.f_net, np.concatenate([x, u_norm], axis=1))
-    return float(np.sqrt(np.mean(x * x))), float(np.sqrt(np.mean(f_vals * f_vals)))
-
-
 def evaluate_model(m: SubnetModel, ds: Dataset) -> EvalReport:
     trace = simulate_free_run(m, ds)
-    rms_x, rms_f = _trace_rms(m, trace, ds)
+    rms_x, rms_f = trace_rms(m, trace, ds)
     return EvalReport(
         rmse=rmse(trace.y_meas, trace.y_pred),
         nrmse=nrmse(trace.y_meas, trace.y_pred),
@@ -160,8 +154,6 @@ def run_cell(
     different dt/tau values are directly comparable; cells are independent
     and safe to run in parallel.
     """
-    from .model import init_model  # deferred to keep module import order flat
-
     try:
         solver = SolverConfig(method, substeps, train_ds.dt / dt_over_tau, train_ds.dt)
         norm = fit_normalizer(train_ds)
@@ -183,18 +175,22 @@ def tau_sweep(
     train_ds: Dataset, val_ds: Dataset, test_ds: Dataset,
     dt_over_tau_grid, seeds, train_cfg: TrainConfig,
     n_x: int, n_a: int, n_b: int, hidden: tuple[int, ...] = (64, 64),
-    method: str = "rk4", substeps: int = 1,
+    method: str = "rk4", substeps: int = 1, map=map,
 ) -> list[SweepCell]:
-    """Train/evaluate over the (dt/tau) x seed grid; failures become NaN rows."""
-    dt_over_tau_grid, seeds = list(dt_over_tau_grid), list(seeds)
-    if not dt_over_tau_grid or not seeds:
+    """One :func:`run_cell` per (dt/tau, seed), ratio-major; failures become NaN rows.
+
+    ``map(fn, ratios, seeds)`` runs the cells, by default in order in this
+    process.  ``fn`` is a picklable ``functools.partial`` and each cell seeds
+    itself, so an executor's ``map`` gives the same cells from worker processes.
+    """
+    seeds = list(seeds)
+    grid = [(float(ratio), int(seed)) for ratio in dt_over_tau_grid for seed in seeds]
+    if not grid:
         raise InvalidArgumentError("grid and seeds must be nonempty")
-    cells = []
-    for ratio in dt_over_tau_grid:
-        for seed in seeds:
-            cells.append(run_cell(train_ds, val_ds, test_ds, float(ratio), int(seed),
-                                  train_cfg, n_x, n_a, n_b, hidden, method, substeps))
-    return cells
+    cell = functools.partial(run_cell, train_ds, val_ds, test_ds, train_cfg=train_cfg,
+                             n_x=n_x, n_a=n_a, n_b=n_b, hidden=hidden, method=method,
+                             substeps=substeps)
+    return list(map(cell, *zip(*grid)))
 
 
 def save_sweep_csv(cells: list[SweepCell], path) -> None:

@@ -312,6 +312,14 @@ def simulate_free_run(m: SubnetModel, ds: Dataset) -> EvalTrace:
     return EvalTrace(res.start, y_pred, ds.y[m.lag:], res.states, ds.dt)
 
 
+def trace_rms(m: SubnetModel, trace: EvalTrace, ds: Dataset) -> tuple[float, float]:
+    """RMS of the free-run states and of the raw f evaluations along them."""
+    x = trace.states[:-1]
+    u_norm = (ds.u[m.lag:] - m.norm.u_mean) / m.norm.u_std
+    f_vals = forward_rows(m.f_net, np.concatenate([x, u_norm], axis=1))
+    return float(np.sqrt(np.mean(x * x))), float(np.sqrt(np.mean(f_vals * f_vals)))
+
+
 def dt_step(m: SubnetModel, x, u) -> Array:
     """Discrete-time state update x+ = f(x, u); no integration, no tau."""
     if m.mode != "dt":

@@ -140,17 +140,6 @@ class FlatParams:
         return FlatParams(np.asarray(values, dtype=np.float64), self.layout)
 
 
-def flatten_mlp(p: MLPParams) -> FlatParams:
-    """Owned copy of the flat vector; order W0, b0, W1, b1, ..., bypass."""
-    return FlatParams(p.values.copy(), p.layout)
-
-
-def unflatten_mlp(flat: FlatParams) -> MLPParams:
-    """Inverse of :func:`flatten_mlp`; exact round-trip into a new, checked vector."""
-    p = MLPParams.over(flat.values, flat.layout)
-    return MLPParams(p.weights, p.biases, p.bypass)
-
-
 # --------------------------------------------------------------------------
 # initialization
 # --------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 from .data import NormStats
 from .errors import ParseError
 from .model import SubnetModel
-from .nnmath import FlatParams, MLPParams, mlp_layout, unflatten_mlp
+from .nnmath import MLPParams, mlp_layout
 from .ode import SolverConfig
 
 FORMAT_VERSION = 1
@@ -49,10 +49,19 @@ def _net_to_dict(p: MLPParams) -> dict:
     }
 
 
-def _net_from_dict(d: dict) -> MLPParams:
-    layout = mlp_layout(tuple(d["layer_sizes"]), d["with_bypass"])
+def _net_from_dict(name: str, d: dict) -> MLPParams:
+    sizes, with_bypass = d["layer_sizes"], d["with_bypass"]
+    # the input size may be 0 (a constant encoder); every layer needs a unit
+    if not (isinstance(sizes, list) and len(sizes) >= 2
+            and all(type(s) is int for s in sizes) and sizes[0] >= 0 and min(sizes[1:]) >= 1
+            and isinstance(with_bypass, bool)):
+        raise ParseError(
+            f"networks.{name}: need layer_sizes of >= 2 integers (input >= 0, others >= 1) "
+            f"and a bool with_bypass, got {sizes!r} and {with_bypass!r}")
+    layout = mlp_layout(tuple(sizes), with_bypass)
     n = sum(math.prod(s) for _, s in layout)
-    return unflatten_mlp(FlatParams(_decode_array(d["params_b64"], n), layout))
+    p = MLPParams.over(_decode_array(d["params_b64"], n), layout)
+    return MLPParams(p.weights, p.biases, p.bypass)
 
 
 def model_to_dict(m: SubnetModel) -> dict:
@@ -85,7 +94,7 @@ def model_from_dict(d: dict) -> SubnetModel:
         solver = SolverConfig(**d["solver"])
         norm = NormStats(np.array(d["norm"]["u_mean"]), np.array(d["norm"]["u_std"]),
                          np.array(d["norm"]["y_mean"]), np.array(d["norm"]["y_std"]))
-        nets = {k: _net_from_dict(v) for k, v in d["networks"].items()}
+        nets = {k: _net_from_dict(k, v) for k, v in d["networks"].items()}
         return SubnetModel(nets["f"], nets["h"], nets["psi"], solver,
                            d["n_x"], d["n_u"], d["n_y"], d["n_a"], d["n_b"],
                            norm, d["mode"])

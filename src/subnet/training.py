@@ -23,9 +23,9 @@ from .model import (
     _sim_backward,
     _sim_forward,
     _windows,
-    forward_rows,
     model_with_values,
     simulate_free_run,
+    trace_rms,
 )
 from .nnmath import (
     Array,
@@ -50,8 +50,8 @@ def _gather_steps(a: Array, ns: Array, T: int) -> Array:
 
 def _loss_and_grad_normed(
     m: SubnetModel, u_norm: Array, y_norm: Array, ns: Array, T: int
-) -> tuple[float, FlatParams]:
-    """Truncated loss plus exact gradient on pre-normalized arrays."""
+) -> tuple[float, Array]:
+    """Truncated loss plus exact flat gradient on pre-normalized arrays."""
     B = len(ns)
     grad = np.zeros_like(m.values)
     f_acc, h_acc, psi_acc = _net_views(m, grad)
@@ -65,7 +65,7 @@ def _loss_and_grad_normed(
     loss = float(np.sum(diff * diff)) / (B * T)
     g_x0 = _sim_backward(m, caches, (2.0 / (B * T)) * diff, f_acc, h_acc)
     mlp_backward_cached(m.psi_net, psi_cache, g_x0, psi_acc)
-    return loss, FlatParams(grad, m.layout)
+    return loss, grad
 
 
 def truncated_loss_and_grad(
@@ -88,9 +88,10 @@ def truncated_loss_and_grad(
         )
     dsn = normalize_dataset(ds, m.norm)
     try:
-        return _loss_and_grad_normed(m, dsn.u, dsn.y, ns, T)
+        loss, grad = _loss_and_grad_normed(m, dsn.u, dsn.y, ns, T)
     except NumericFaultError as e:
         raise NumericFaultError("truncated loss failed", **e.context) from e
+    return loss, FlatParams(grad, m.layout)
 
 
 def full_sim_loss(
@@ -261,8 +262,7 @@ def train(
             with np.errstate(over="ignore", invalid="ignore"):
                 if cfg.loss_target == "truncated":
                     batch = sampler.sample_batch()
-                    loss, grad = _loss_and_grad_normed(model, dsn.u, dsn.y, batch, cfg.T)
-                    g = grad.values
+                    loss, g = _loss_and_grad_normed(model, dsn.u, dsn.y, batch, cfg.T)
                 else:
                     x0 = mlp_forward(model.psi_net, np.zeros(0))
                     loss, g, g_x0 = _full_loss_and_grad_normed(model, dsn.u, dsn.y, x0)
@@ -323,15 +323,10 @@ def suggest_tau(ds: Dataset, pilot: SubnetModel | None = None) -> float:
     if pilot is not None:
         if pilot.mode != "ct":
             raise InvalidArgumentError("pilot must be a continuous-time model")
-        trace = simulate_free_run(pilot, ds)
-        x = trace.states[:-1]
-        u_norm = (ds.u[pilot.lag:] - pilot.norm.u_mean) / pilot.norm.u_std
-        dx = forward_rows(pilot.f_net, np.concatenate([x, u_norm], axis=1)) / pilot.solver.tau
-        rms_x = float(np.sqrt(np.mean(x * x)))
-        rms_dx = float(np.sqrt(np.mean(dx * dx)))
+        rms_x, rms_f = trace_rms(pilot, simulate_free_run(pilot, ds), ds)
         if rms_x == 0.0:
             raise DegenerateDataError("pilot state trajectory has zero RMS")
-        return rms_dx / rms_x
+        return rms_f / pilot.solver.tau / rms_x
     y_std = ds.y.std(axis=0)
     for c, s in enumerate(y_std):
         if s == 0.0:

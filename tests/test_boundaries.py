@@ -1,6 +1,13 @@
 import importlib
+import inspect
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from subnet.evaluation import run_cell
+from subnet.model import model_flatten
+from subnet.training import TrainConfig, truncated_loss_and_grad
 
 
 def test_benchmark_boundaries_resolve():
@@ -19,3 +26,16 @@ def test_benchmark_boundaries_resolve():
         if not callable(owner):
             unresolved.append(f"{span}: subnet.{module}.{attr}")
     assert BOUNDARIES and not unresolved, unresolved
+
+
+def test_benchmark_reads_resolve(toy_model, toy_dataset):
+    # the tanks-train check reads the .values of model_flatten and of the
+    # truncated-loss gradient, and the sweep check calls run_cell with 12
+    # positional arguments (perfbench/workloads.py)
+    n = toy_model.values.size
+    theta = model_flatten(toy_model).values
+    _, grad = truncated_loss_and_grad(toy_model, toy_dataset, [3, 10, 20], 5)
+    for v in (theta, grad.values):
+        assert isinstance(v, np.ndarray) and v.shape == (n,)
+    inspect.signature(run_cell).bind(toy_dataset, toy_dataset, toy_dataset, 0.5, 0,
+                                     TrainConfig(), 2, 5, 5, (8, 8), "euler", 4)

@@ -254,17 +254,21 @@ def test_run_requires_out(tmp_path):
 
 
 def test_threads_flag_parallel_matches_serial(tmp_path):
+    # both commands run their cells through one sweep driver, in a worker pool with --threads
     train_csv = _gen(tmp_path, "th", seed=0)
     test_csv = _gen(tmp_path, "th2", seed=2)
-    outs = {}
-    for label, extra in (("serial", []), ("parallel", ["--threads", "2"])):
-        out = tmp_path / label
-        cfg = _write(tmp_path, f"{label}.json", {
-            "command": "ensemble", "out": str(out),
-            "data": {"train_path": str(train_csv), "test_path": str(test_csv), "dt": 0.5},
-            "model": MODEL_SECTION, "train": TRAIN_SECTION,
-            "ensemble": {"seeds": [0, 1]},
-        })
-        assert main(["ensemble", "--config", str(cfg)] + extra) == 0
-        outs[label] = (out / "ensemble.csv").read_text()
-    assert outs["serial"] == outs["parallel"]
+    commands = (("ensemble", {"ensemble": {"seeds": [0, 1]}}, "ensemble.csv"),
+                ("sweep-tau", {"sweep": {"dt_over_tau": [0.1, 1.0], "seeds": [0, 1]}}, "sweep.csv"))
+    for command, section, csv_name in commands:
+        outs = {}
+        for label, extra in (("serial", []), ("parallel", ["--threads", "2"])):
+            out = tmp_path / command / label
+            cfg = _write(tmp_path, f"{command}-{label}.json", {
+                "command": command, "out": str(out),
+                "data": {"train_path": str(train_csv), "test_path": str(test_csv), "dt": 0.5},
+                "model": MODEL_SECTION, "train": TRAIN_SECTION, **section,
+            })
+            assert main([command, "--config", str(cfg)] + extra) == 0
+            outs[label] = (out / csv_name).read_text()
+        assert outs["serial"] == outs["parallel"]
+        assert len(outs["serial"].splitlines()) > 1

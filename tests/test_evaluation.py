@@ -280,11 +280,30 @@ def test_tau_sweep_single_cell_equals_plain_run():
 
 
 def test_tau_sweep_accepts_generators():
+    # a grid that re-read a generator of seeds once per ratio would drop cells
     train_ds, val_ds, test_ds = _tiny_splits()
     tc = TrainConfig(T=8, batch_size=8, max_updates=20, eval_every=10, patience=20, seed=0)
-    cells = tau_sweep(train_ds, val_ds, test_ds, (r for r in [0.25]), (s for s in [0]),
+    cells = tau_sweep(train_ds, val_ds, test_ds, (r for r in [0.25, 0.5]), (s for s in [0, 1]),
                       tc, 2, 2, 2, hidden=(6,))
-    assert cells == tau_sweep(train_ds, val_ds, test_ds, [0.25], [0], tc, 2, 2, 2,
+    assert [(c.dt_over_tau, c.seed) for c in cells] == [(0.25, 0), (0.25, 1), (0.5, 0), (0.5, 1)]
+    assert cells == tau_sweep(train_ds, val_ds, test_ds, [0.25, 0.5], [0, 1], tc, 2, 2, 2,
+                              hidden=(6,))
+
+
+def test_tau_sweep_runs_cells_ratio_major_through_map():
+    train_ds, val_ds, test_ds = _tiny_splits()
+    tc = TrainConfig(T=8, batch_size=8, max_updates=20, eval_every=10, patience=20, seed=0)
+    calls = []
+
+    def recording_map(fn, ratios, seeds):
+        ratios, seeds = list(ratios), list(seeds)
+        calls.append(list(zip(ratios, seeds)))
+        return map(fn, ratios, seeds)
+
+    cells = tau_sweep(train_ds, val_ds, test_ds, [0.25, 0.5], [3, 1], tc, 2, 2, 2,
+                      hidden=(6,), map=recording_map)
+    assert calls == [[(0.25, 3), (0.25, 1), (0.5, 3), (0.5, 1)]]
+    assert cells == tau_sweep(train_ds, val_ds, test_ds, [0.25, 0.5], [3, 1], tc, 2, 2, 2,
                               hidden=(6,))
 
 

@@ -32,7 +32,7 @@ from subnet.model import (
 )
 from subnet.nnmath import MLPParams, mlp_forward, mlp_init
 from subnet.ode import SolverConfig, ode_step
-from subnet.serialize import load_model, model_from_dict, model_to_dict, save_model
+from subnet.serialize import _encode_array, load_model, model_from_dict, model_to_dict, save_model
 from subnet.training import TrainConfig, truncated_loss_and_grad
 
 IDENT = NormStats.identity(1, 1)
@@ -413,6 +413,40 @@ def test_serialization_roundtrip_bit_exact(tmp_path):
     # serialize -> parse -> serialize is a fixed point
     d1 = model_to_dict(back)
     assert d1 == model_to_dict(model_from_dict(d1))
+
+
+def test_serialization_roundtrip_constant_encoder_no_bypass(tmp_path):
+    # a zero-input encoder and an h network without bypass load back exactly
+    psi = constant_psi(2, np.array([0.3, -1.7]))
+    m = SubnetModel(mlp_init([3, 5, 2], True, 1), mlp_init([2, 4, 4, 1], False, 2), psi,
+                    SolverConfig(), 2, 1, 1, 0, 0, IDENT)
+    save_model(m, tmp_path / "m.json")
+    back = load_model(tmp_path / "m.json")
+    assert back.h_net.bypass is None and back.psi_net.bypass is None
+    assert back.psi_net.layer_sizes == [0, 2] and back.h_net.layer_sizes == [2, 4, 4, 1]
+    assert np.array_equal(back.values, m.values)
+    for a, b in zip(back.h_net.weights + back.h_net.biases, m.h_net.weights + m.h_net.biases):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("net,layer_sizes,with_bypass,n_values", [
+    ("h", [2, 0, 1], True, 3),       # a zero-width hidden layer, with a blob that fits it
+    ("h", [2, 4, 1], "no", 19),      # a string where a bool belongs
+    ("f", [3, -4, 2], True, None),   # a negative width
+    ("f", [3.0, 4, 2], True, None),  # a non-integer size
+    ("psi", [10], True, None),       # fewer than two sizes
+])
+def test_load_model_rejects_malformed_network_shapes(tmp_path, net, layer_sizes, with_bypass,
+                                                     n_values):
+    m = init_model(2, 1, 1, 5, 5, SolverConfig(), IDENT, hidden=(4,), seed=0)
+    doc = model_to_dict(m)
+    doc["networks"][net].update(layer_sizes=layer_sizes, with_bypass=with_bypass)
+    if n_values is not None:
+        doc["networks"][net]["params_b64"] = _encode_array(np.zeros(n_values))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=f"networks\\.{net}"):
+        load_model(path)
 
 
 def test_serialization_irrational_values_roundtrip(tmp_path):

@@ -6,17 +6,16 @@ import pytest
 from subnet.errors import InvalidArgumentError, NumericFaultError
 from subnet.model import constant_psi
 from subnet.nnmath import (
+    FlatParams,
     MLPParams,
     adam_init,
     adam_step,
     finite_diff_gradient,
-    flatten_mlp,
     mlp_backward,
     mlp_backward_cached,
     mlp_forward,
     mlp_forward_cached,
     mlp_init,
-    unflatten_mlp,
 )
 
 
@@ -132,8 +131,8 @@ def test_backward_matches_finite_differences():
     _, grad = mlp_backward(p, x, np.ones(1))
 
     fd = finite_diff_gradient(
-        lambda flat: float(mlp_forward(unflatten_mlp(flat), x)[0]),
-        flatten_mlp(p), 1e-6)
+        lambda flat: float(mlp_forward(MLPParams.over(flat.values, flat.layout), x)[0]),
+        FlatParams(p.values.copy(), p.layout), 1e-6)
     assert rel_err(grad.values, fd.values).max() <= 1e-5
 
 
@@ -146,8 +145,8 @@ def test_backward_fd_various_shapes(sizes, seed):
     gx, grad = mlp_backward(p, x, w)
 
     fd = finite_diff_gradient(
-        lambda flat: float(w @ mlp_forward(unflatten_mlp(flat), x)),
-        flatten_mlp(p), 1e-6)
+        lambda flat: float(w @ mlp_forward(MLPParams.over(flat.values, flat.layout), x)),
+        FlatParams(p.values.copy(), p.layout), 1e-6)
     assert rel_err(grad.values, fd.values).max() <= 1e-5
     fd_x = np.array([
         (w @ mlp_forward(p, x + 1e-6 * e) - w @ mlp_forward(p, x - 1e-6 * e)) / 2e-6
@@ -226,26 +225,7 @@ def test_kernels_bit_identical_to_textbook_form(net, B):
     assert np.array_equal(acc.values, acc_ref.values)
 
 
-# ---------------------------------------------------------------- flatten
-
-
-@pytest.mark.parametrize("sizes,with_bypass", [([2, 3], False), ([4, 8, 8, 2], True), ([1, 1], True)])
-def test_flatten_roundtrip_exact(sizes, with_bypass):
-    p = mlp_init(sizes, with_bypass, 9)
-    q = unflatten_mlp(flatten_mlp(p))
-    for a, b in zip(p.weights, q.weights):
-        assert np.array_equal(a, b)
-    for a, b in zip(p.biases, q.biases):
-        assert np.array_equal(a, b)
-    if with_bypass:
-        assert np.array_equal(p.bypass, q.bypass)
-    else:
-        assert q.bypass is None
-
-
-def test_flat_length_matches_param_count():
-    p = mlp_init([2, 64, 64, 1], True, 0)
-    assert flatten_mlp(p).values.size == p.n_params
+# ---------------------------------------------------------------- parameter checks
 
 
 def test_mlpparams_rejects_bad_shapes():
@@ -326,18 +306,19 @@ def test_adam_in_place_matches_out_of_place_formula():
 
 
 def test_finite_diff_quadratic():
-    theta = flatten_mlp(mlp_init([1, 1], False, 0)).with_values(np.array([3.0, 0.0]))
+    theta = FlatParams(np.array([3.0, 0.0]), mlp_init([1, 1], False, 0).layout)
     g = finite_diff_gradient(lambda f: 0.5 * float(f.values @ f.values), theta, 1e-6)
     assert np.allclose(g.values, [3.0, 0.0], atol=1e-9)
 
 
 def test_finite_diff_constant():
-    theta = flatten_mlp(mlp_init([1, 1], False, 0))
+    p = mlp_init([1, 1], False, 0)
+    theta = FlatParams(p.values.copy(), p.layout)
     g = finite_diff_gradient(lambda f: 1.25, theta, 1e-6)
     assert np.array_equal(g.values, np.zeros(2))
 
 
 def test_finite_diff_product():
-    theta = flatten_mlp(mlp_init([1, 1], False, 0)).with_values(np.array([2.0, 5.0]))
+    theta = FlatParams(np.array([2.0, 5.0]), mlp_init([1, 1], False, 0).layout)
     g = finite_diff_gradient(lambda f: float(f.values[0] * f.values[1]), theta, 1e-6)
     assert np.allclose(g.values, [5.0, 2.0], atol=1e-8)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from subnet.errors import InvalidArgumentError, NumericFaultError
-from subnet.nnmath import MLPParams, flatten_mlp, mlp_init, unflatten_mlp
+from subnet.nnmath import MLPParams, mlp_init
 from subnet.ode import (
     SolverConfig,
     mlp_ode_step_backward,
@@ -109,7 +109,7 @@ def test_mlp_step_gradients_match_fd(method, substeps):
     w = rng.standard_normal(2)
 
     def endpoint(values, x_start):
-        p = unflatten_mlp(flatten_mlp(f_net).with_values(values))
+        p = MLPParams.over(values, f_net.layout)
         x = x_start
         for k in range(6):
             x = mlp_ode_step_plain(p, x, us[k], cfg)
@@ -125,7 +125,7 @@ def test_mlp_step_gradients_match_fd(method, substeps):
     for k in range(5, -1, -1):
         g = mlp_ode_step_backward(f_net, caches[k], g, 2, cfg, acc)
 
-    base = flatten_mlp(f_net).values
+    base = f_net.values.copy()
     fd = np.zeros_like(base)
     for i in range(base.size):
         hi, lo = base.copy(), base.copy()
@@ -164,13 +164,13 @@ def test_rollout_gradient_long_horizon():
         g = mlp_ode_step_backward(f_net, caches[k], g, 1, cfg, acc)
 
     def endpoint(values):
-        p = unflatten_mlp(flatten_mlp(f_net).with_values(values))
+        p = MLPParams.over(values, f_net.layout)
         xx = x0
         for k in range(64):
             xx = mlp_ode_step_plain(p, xx, us[k], cfg)
         return float(xx[0, 0])
 
-    base = flatten_mlp(f_net).values
+    base = f_net.values.copy()
     fd = np.zeros_like(base)
     for i in range(base.size):
         hi, lo = base.copy(), base.copy()
