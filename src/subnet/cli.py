@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import csv
 import json
 import sys
 from pathlib import Path
 from typing import Literal, Optional, Union
 
 import numpy as np
-from pydantic import BaseModel, ConfigDict, Field, ValidationError
+from pydantic import BaseModel, ConfigDict, Field, NonNegativeInt, ValidationError
 
 from . import evaluation as ev
 from .data import (
@@ -34,6 +33,7 @@ from .data import (
     save_csv,
     save_truth_csv,
     slice_dataset,
+    write_csv,
 )
 from .errors import ConfigError, SubnetError
 from .model import init_model
@@ -69,7 +69,7 @@ class SyntheticSection(_Strict):
     n_samples: int = Field(1024, ge=2)
     dt: float = Field(4.0, gt=0)
     input: Literal["multisine", "random_steps"] = "multisine"
-    seed: Optional[int] = None
+    seed: Optional[int] = Field(None, ge=0)
     noise_std: float = Field(0.0, ge=0)
     truth_substeps: int = Field(32, ge=10)
     params: dict[str, float] = Field(default_factory=dict)
@@ -81,7 +81,7 @@ class ModelSection(_Strict):
     n_b: int = Field(5, ge=0)
     hidden: list[int] = Field(default_factory=lambda: [64, 64])
     mode: Literal["ct", "dt"] = "ct"
-    seed: Optional[int] = None
+    seed: Optional[int] = Field(None, ge=0)
 
 
 class SolverSection(_Strict):
@@ -111,14 +111,14 @@ class EvalSection(_Strict):
 class SweepSection(_Strict):
     dt_over_tau: list[float] = Field(
         default_factory=lambda: list(np.logspace(-3, 1, 9)), min_length=1)
-    seeds: list[int] = Field(default_factory=lambda: [0, 1, 2], min_length=1)
+    seeds: list[NonNegativeInt] = Field(default_factory=lambda: [0, 1, 2], min_length=1)
 
 
 class ProbeSection(_Strict):
     T_values: list[int] = Field(default_factory=lambda: [8, 32, 128], min_length=1)
     n_probes: int = Field(32, ge=1)
     eps: float = Field(1e-4, gt=0)
-    seeds: list[int] = Field(default_factory=lambda: [0], min_length=1)
+    seeds: list[NonNegativeInt] = Field(default_factory=lambda: [0], min_length=1)
 
 
 class ReconstructSection(_Strict):
@@ -130,13 +130,13 @@ class ReconstructSection(_Strict):
 
 
 class EnsembleSection(_Strict):
-    seeds: list[int] = Field(default_factory=lambda: [0, 1, 2], min_length=1)
+    seeds: list[NonNegativeInt] = Field(default_factory=lambda: [0, 1, 2], min_length=1)
 
 
 class RunConfig(_Strict):
     format_version: int = 1
     command: Optional[Literal[COMMANDS]] = None
-    seed: int = 0
+    seed: int = Field(0, ge=0)
     out: Optional[str] = None
     threads: int = Field(1, ge=1)
     data: Optional[DataSection] = None
@@ -220,11 +220,7 @@ def _echo_config(cfg: RunConfig, out: Path) -> None:
 
 
 def _write_metrics(path: Path, items: dict) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["metric", "value"])
-        for k, v in items.items():
-            w.writerow([k, repr(v) if isinstance(v, float) else v])
+    write_csv(path, ["metric", "value"], items.items())
 
 
 def _load_splits(cfg: RunConfig) -> tuple[Dataset, Dataset, Optional[Dataset]]:
@@ -344,15 +340,11 @@ def _cmd_eval(cfg: RunConfig, out: Path) -> RunConfig:
         "rms_x": report.rms_x, "rms_f": report.rms_f,
         "n_samples": report.n_samples,
     })
-    with open(out / "trace.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        ny = report.trace.y_meas.shape[1]
-        w.writerow(["k"] + [f"y{j}" for j in range(ny)] + [f"y_pred{j}" for j in range(ny)])
-        for k in range(report.n_samples):
-            row = [report.trace.start + k]
-            row += [repr(float(v)) for v in report.trace.y_meas[k]]
-            row += [repr(float(v)) for v in report.trace.y_pred[k]]
-            w.writerow(row)
+    tr = report.trace
+    ny = tr.y_meas.shape[1]
+    write_csv(out / "trace.csv",
+              ["k"] + [f"y{j}" for j in range(ny)] + [f"y_pred{j}" for j in range(ny)],
+              ([tr.start + k, *ym, *yp] for k, (ym, yp) in enumerate(zip(tr.y_meas, tr.y_pred))))
     print(f"test RMSE {report.rmse:.6g} (NRMSE {report.nrmse:.4g}) over "
           f"{report.n_samples} samples")
     return cfg
@@ -401,19 +393,14 @@ def _cmd_reconstruct(cfg: RunConfig, out: Path) -> RunConfig:
     else:
         indices = sorted(set(np.linspace(r.z, ds.n - 1, r.n_points).astype(int).tolist()))
     substeps = scfg.truth_substeps if r.substeps is None else r.substeps
-    errs = []
-    with open(out / "reconstruct.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        n_x = system.n_x
-        w.writerow(["n"] + [f"x_true{i}" for i in range(n_x)]
-                   + [f"x_hat{i}" for i in range(n_x)] + ["err_norm"])
-        for n in indices:
-            x_hat = ev.reconstruct_oracle(system, ds, n, r.z, substeps=substeps,
-                                          state_box=tuple(r.state_box))
-            err = float(np.linalg.norm(x_hat - trace.states[n]))
-            errs.append(err)
-            w.writerow([n] + [repr(float(v)) for v in trace.states[n]]
-                       + [repr(float(v)) for v in x_hat] + [repr(err)])
+    errs, rows = [], []
+    for n in indices:
+        x_hat = ev.reconstruct_oracle(system, ds, n, r.z, substeps=substeps,
+                                      state_box=tuple(r.state_box))
+        errs.append(float(np.linalg.norm(x_hat - trace.states[n])))
+        rows.append([n, *trace.states[n], *x_hat, errs[-1]])
+    write_csv(out / "reconstruct.csv", ["n"] + [f"x_true{i}" for i in range(system.n_x)]
+              + [f"x_hat{i}" for i in range(system.n_x)] + ["err_norm"], rows)
     _write_metrics(out / "metrics.csv", {
         "n_points": len(indices),
         "rms_state_error": float(np.sqrt(np.mean(np.square(errs)))),
@@ -433,12 +420,8 @@ def _cmd_ensemble(cfg: RunConfig, out: Path) -> RunConfig:
     # an ensemble is a sweep with the one ratio dt/tau
     cells = _sweep(cfg, (train_ds, val_ds, test_ds), [train_ds.dt / float(cfg.solver.tau)],
                    cfg.ensemble.seeds)
-    with open(out / "ensemble.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["seed", "test_rmse", "val_rmse", "rms_x", "rms_f"])
-        for c in cells:
-            w.writerow([c.seed, repr(c.test_rmse), repr(c.val_rmse),
-                        repr(c.rms_x), repr(c.rms_f)])
+    write_csv(out / "ensemble.csv", ["seed", "test_rmse", "val_rmse", "rms_x", "rms_f"],
+              ([c.seed, c.test_rmse, c.val_rmse, c.rms_x, c.rms_f] for c in cells))
     rmses = np.array([c.test_rmse for c in cells])
     # best RMSE with the ensemble mean in parentheses, as benchmark tables report
     _write_metrics(out / "metrics.csv", {
@@ -490,14 +473,12 @@ def main(argv=None) -> int:
         if cfg.command is not None and cfg.command != args.command:
             raise ConfigError(
                 f"config command {cfg.command!r} does not match subcommand {args.command!r}")
-        updates = {"command": args.command}
-        if args.out is not None:
-            updates["out"] = args.out
-        if args.seed is not None:
-            updates["seed"] = args.seed
-        if args.threads is not None:
-            updates["threads"] = args.threads
-        cfg = cfg.model_copy(update=updates)
+        updates = {k: getattr(args, k) for k in ("command", "out", "seed", "threads")
+                   if getattr(args, k) is not None}
+        try:  # the overrides get the same checks as the file
+            cfg = RunConfig.model_validate({**cfg.model_dump(), **updates})
+        except ValidationError as e:
+            raise ConfigError(f"command line: {_format_validation_error(e)}") from e
         return run(cfg)
     except SubnetError as e:
         print(f"error: {e}", file=sys.stderr)

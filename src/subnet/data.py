@@ -170,17 +170,22 @@ def load_csv(path, n_u: int, n_y: int, dt: float) -> Dataset:
     return Dataset(arr[:, :n_u], arr[:, n_u:], dt, name=path.stem)
 
 
-def _write_rows(path, header: list[str], columns: list[Array]) -> None:
+def write_csv(path, header: list[str], rows) -> None:
+    """Write one CSV artifact: UTF-8, LF line ends, ``repr`` floats.
+
+    Every float cell (``np.float64`` included) is written as
+    ``repr(float(v))``, the shortest text that reads back to the same float;
+    other cells are written as they are.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        for k in range(columns[0].shape[0]):
-            w.writerow([repr(float(col[k])) for col in columns])
+        for row in rows:
+            w.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
 def save_csv(ds: Dataset, path) -> None:
-    cols = [ds.u[:, i] for i in range(ds.n_u)] + [ds.y[:, j] for j in range(ds.n_y)]
-    _write_rows(path, _column_names(ds.n_u, ds.n_y), cols)
+    write_csv(path, _column_names(ds.n_u, ds.n_y), np.hstack([ds.u, ds.y]).tolist())
 
 
 # --------------------------------------------------------------------------
@@ -412,11 +417,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[Dataset, TruthTrace]:
 
 def save_truth_csv(ds: Dataset, trace: TruthTrace, path) -> None:
     """Dataset CSV plus x0,x1,... state columns and y_clean0,... columns."""
-    header = _column_names(ds.n_u, ds.n_y)
-    cols = [ds.u[:, i] for i in range(ds.n_u)] + [ds.y[:, j] for j in range(ds.n_y)]
     n_x = trace.states.shape[1]
-    header += [f"x{i}" for i in range(n_x)]
-    cols += [trace.states[:, i] for i in range(n_x)]
-    header += [f"y_clean{j}" for j in range(ds.n_y)]
-    cols += [trace.y_clean[:, j] for j in range(ds.n_y)]
-    _write_rows(path, header, cols)
+    header = (_column_names(ds.n_u, ds.n_y) + [f"x{i}" for i in range(n_x)]
+              + [f"y_clean{j}" for j in range(ds.n_y)])
+    write_csv(path, header, np.hstack([ds.u, ds.y, trace.states, trace.y_clean]).tolist())

@@ -6,7 +6,6 @@ inputs/outputs of a known synthetic system.
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 from dataclasses import dataclass, replace
@@ -19,6 +18,7 @@ from .data import (
     fit_normalizer,
     normalize_dataset,
     valid_start_indices,
+    write_csv,
 )
 from .errors import (
     DegenerateDataError,
@@ -31,17 +31,15 @@ from .errors import (
 from .model import (
     EvalTrace,
     SubnetModel,
-    _sim_forward,
-    _windows,
     init_model,
     model_flatten,
     model_with_values,
     simulate_free_run,
     trace_rms,
 )
-from .nnmath import Array, mlp_forward_cached
+from .nnmath import Array
 from .ode import SolverConfig, ode_step
-from .training import TrainConfig, train
+from .training import TrainConfig, _subsection_residuals, train
 
 # --------------------------------------------------------------------------
 # metrics
@@ -195,12 +193,9 @@ def tau_sweep(
 
 def save_sweep_csv(cells: list[SweepCell], path) -> None:
     """Tidy CSV (setting, seed, metric, value), one row per metric; box-plot ready."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["setting", "seed", "metric", "value"])
-        for c in cells:
-            for metric in ("rms_x", "rms_f", "test_rmse", "val_rmse"):
-                w.writerow([repr(c.dt_over_tau), c.seed, metric, repr(getattr(c, metric))])
+    write_csv(path, ["setting", "seed", "metric", "value"],
+              ([c.dt_over_tau, c.seed, metric, getattr(c, metric)]
+               for c in cells for metric in ("rms_x", "rms_f", "test_rmse", "val_rmse")))
 
 
 # --------------------------------------------------------------------------
@@ -213,15 +208,6 @@ class ProbeResult:
     T: int
     l_hat: float
     n_failed: int
-
-
-def _truncated_loss_only(m: SubnetModel, u_norm: Array, y_norm: Array, ns: Array, T: int) -> float:
-    win = _windows(u_norm, y_norm, ns, m.n_a, m.n_b)
-    x0, _ = mlp_forward_cached(m.psi_net, win)
-    steps = ns[:, None] + np.arange(T)[None, :]
-    _, outputs = _sim_forward(m, x0, u_norm[steps], ns)
-    diff = outputs - y_norm[steps]
-    return float(np.sum(diff * diff)) / (len(ns) * T)
 
 
 def smoothness_probe(
@@ -241,16 +227,21 @@ def smoothness_probe(
     dirs = rng.standard_normal((n_probes, theta.values.size))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     dsn = normalize_dataset(ds, m.norm)
+
+    def loss(model: SubnetModel, ns: Array, T: int) -> float:  # the mean squared residual
+        diff, _ = _subsection_residuals(model, dsn.u, dsn.y, ns, T)
+        return float(np.sum(diff * diff)) / (len(ns) * T)
+
     results = []
     for T in T_values:
         ns = valid_start_indices(ds.n, int(T), m.n_a, m.n_b)
-        base = _truncated_loss_only(m, dsn.u, dsn.y, ns, int(T))
+        base = loss(m, ns, int(T))
         best = 0.0
         failed = 0
         for d in dirs:
             try:
                 perturbed = model_with_values(m, theta.values + eps * d)
-                v = _truncated_loss_only(perturbed, dsn.u, dsn.y, ns, int(T))
+                v = loss(perturbed, ns, int(T))
             except NumericFaultError:
                 failed += 1
                 continue
@@ -264,13 +255,9 @@ def smoothness_probe(
 
 def save_probe_csv(runs: list[tuple[int | None, list[ProbeResult]]], path) -> None:
     """Tidy CSV (setting, seed, metric, value) of (seed, results) pairs, in order."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["setting", "seed", "metric", "value"])
-        for seed, results in runs:
-            for r in results:
-                w.writerow([r.T, "" if seed is None else seed, "l_hat", repr(r.l_hat)])
-                w.writerow([r.T, "" if seed is None else seed, "n_failed", r.n_failed])
+    write_csv(path, ["setting", "seed", "metric", "value"],
+              ([r.T, "" if seed is None else seed, metric, getattr(r, metric)]
+               for seed, results in runs for r in results for metric in ("l_hat", "n_failed")))
 
 
 # --------------------------------------------------------------------------
@@ -297,11 +284,17 @@ def _residual(system: SyntheticSystem, x_hat: Array, u_win: Array, y_win: Array,
                            for p in range(len(xs))])
 
 
-def _gn_minimize(resid, x0: Array, max_iters: int, step_tol: float):
+# Gauss-Newton iteration cap, converged-step norm, and central-difference step
+_GN_MAX_ITERS = 100
+_GN_STEP_TOL = 1e-10
+_FD_STEP = 1e-6
+
+
+def _gn_minimize(resid, x0: Array):
     """Gauss-Newton with backtracking and a Levenberg-damped rescue step.
 
     Returns (x, cost, converged); converged means the step norm dropped
-    below ``step_tol`` or no descent step exists (a stationary point).
+    below ``_GN_STEP_TOL`` or no descent step exists (a stationary point).
     """
     x = np.asarray(x0, dtype=np.float64)
     try:
@@ -329,7 +322,7 @@ def _gn_minimize(resid, x0: Array, max_iters: int, step_tol: float):
             step *= 0.5
         return False
 
-    for _ in range(max_iters):
+    for _ in range(_GN_MAX_ITERS):
         try:
             J = _fd_jacobian(resid, x)
         except NumericFaultError:
@@ -337,7 +330,7 @@ def _gn_minimize(resid, x0: Array, max_iters: int, step_tol: float):
         if not np.isfinite(J).all():
             return x, cost, False
         delta = np.linalg.lstsq(J, -r, rcond=None)[0]
-        if float(np.linalg.norm(delta)) < step_tol:
+        if float(np.linalg.norm(delta)) < _GN_STEP_TOL:
             return x, cost, True
         if try_step(delta):
             continue
@@ -347,7 +340,7 @@ def _gn_minimize(resid, x0: Array, max_iters: int, step_tol: float):
         rescued = False
         for lam in (1e-6, 1e-4, 1e-2, 1.0, 1e2):
             delta = np.linalg.solve(JtJ + lam * scale * np.eye(x.size), -Jtr)
-            if float(np.linalg.norm(delta)) < step_tol:
+            if float(np.linalg.norm(delta)) < _GN_STEP_TOL:
                 return x, cost, True
             if try_step(delta):
                 rescued = True
@@ -360,7 +353,6 @@ def _gn_minimize(resid, x0: Array, max_iters: int, step_tol: float):
 def reconstruct_oracle(
     system: SyntheticSystem, ds: Dataset, n: int, z: int,
     *, substeps: int = 32, state_box: tuple[float, float] = (-3.0, 3.0),
-    grid_points: int | None = None, max_iters: int = 100, step_tol: float = 1e-10,
 ) -> Array:
     """Estimate the true state at index n by nonlinear least squares.
 
@@ -382,15 +374,14 @@ def reconstruct_oracle(
     y_win = ds.y[n - 1::-1][:z]
     resid = lambda x: _residual(system, x, u_win, y_win, ds.dt, substeps)
 
-    if grid_points is None:
-        grid_points = max(2, round(27.0 ** (1.0 / system.n_x)))
+    grid_points = max(2, round(27.0 ** (1.0 / system.n_x)))
     lo, hi = state_box
     axes = [np.linspace(lo, hi, grid_points) for _ in range(system.n_x)]
     # a numerically-zero residual is the global minimum; stop the multi-start
     exact_cost = (1e-9 ** 2) * z * ds.n_y
     best_x, best_cost = None, np.inf
     for start in itertools.product(*axes):
-        x, cost, converged = _gn_minimize(resid, np.asarray(start), max_iters, step_tol)
+        x, cost, converged = _gn_minimize(resid, np.asarray(start))
         if converged and np.isfinite(cost) and cost < best_cost:
             best_x, best_cost = x, cost
             if best_cost <= exact_cost:
@@ -400,12 +391,12 @@ def reconstruct_oracle(
     return best_x
 
 
-def _fd_jacobian(resid, x: Array, step: float = 1e-6) -> Array:
+def _fd_jacobian(resid, x: Array) -> Array:
     cols = []
     for i in range(x.size):
         hi = x.copy()
         lo = x.copy()
-        hi[i] += step
-        lo[i] -= step
-        cols.append((resid(hi) - resid(lo)) / (2.0 * step))
+        hi[i] += _FD_STEP
+        lo[i] -= _FD_STEP
+        cols.append((resid(hi) - resid(lo)) / (2.0 * _FD_STEP))
     return np.stack(cols, axis=1)

@@ -122,15 +122,17 @@ def init_model(
     """Fresh model with tanh MLPs plus linear bypass for f, h and psi.
 
     The three networks get independent streams spawned from one seed, so a
-    single integer fully determines the initialization.  Degenerate
-    encoders (n_a = n_b = 0) cannot be built here; construct the constant
-    psi network directly.
+    single integer fully determines the initialization.  With n_a = n_b = 0
+    the encoder is :func:`constant_psi` at x0 = 0 (a free initial state, as
+    the full-sequence loss needs); f and h are the same as with any lags and
+    the psi stream goes unused.
     """
     rng_f, rng_h, rng_psi = [np.random.default_rng(s)
                              for s in np.random.SeedSequence(seed).spawn(3)]
     f_net = mlp_init([n_x + n_u, *hidden, n_x], True, rng_f)
     h_net = mlp_init([n_x, *hidden, n_y], True, rng_h)
-    psi_net = mlp_init([n_b * n_u + n_a * n_y, *hidden, n_x], True, rng_psi)
+    psi_net = (constant_psi(n_x, np.zeros(n_x)) if n_a == n_b == 0
+               else mlp_init([n_b * n_u + n_a * n_y, *hidden, n_x], True, rng_psi))
     return SubnetModel(f_net, h_net, psi_net, solver, n_x, n_u, n_y, n_a, n_b, norm, mode)
 
 

@@ -8,14 +8,13 @@ single-threaded.
 
 from __future__ import annotations
 
-import csv
 import json
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import BatchSampler, Dataset, normalize_dataset, valid_start_indices
+from .data import BatchSampler, Dataset, normalize_dataset, valid_start_indices, write_csv
 from .errors import DegenerateDataError, InvalidArgumentError, NumericFaultError
 from .model import (
     SubnetModel,
@@ -33,7 +32,6 @@ from .nnmath import (
     adam_init,
     adam_step,
     mlp_backward_cached,
-    mlp_forward,
     mlp_forward_cached,
 )
 from .serialize import model_from_dict, model_to_json
@@ -43,9 +41,17 @@ from .serialize import model_from_dict, model_to_json
 # --------------------------------------------------------------------------
 
 
-def _gather_steps(a: Array, ns: Array, T: int) -> Array:
-    """(B, T, channels) view of rows ns..ns+T-1 for each start index."""
-    return a[ns[:, None] + np.arange(T)[None, :]]
+def _subsection_residuals(
+    m: SubnetModel, u_norm: Array, y_norm: Array, ns: Array, T: int, caches=None
+):
+    """(simulated minus measured normalized outputs (B, T, n_y), psi cache) of the subsections
+    at ``ns``, each started from the encoder's state; a ``caches`` list keeps the rollout.
+    """
+    win = _windows(u_norm, y_norm, ns, m.n_a, m.n_b)
+    x0, psi_cache = mlp_forward_cached(m.psi_net, win)
+    steps = ns[:, None] + np.arange(T)[None, :]  # rows ns..ns+T-1 of each subsection
+    _, outputs = _sim_forward(m, x0, u_norm[steps], ns, caches)
+    return outputs - y_norm[steps], psi_cache
 
 
 def _loss_and_grad_normed(
@@ -55,13 +61,8 @@ def _loss_and_grad_normed(
     B = len(ns)
     grad = np.zeros_like(m.values)
     f_acc, h_acc, psi_acc = _net_views(m, grad)
-    win = _windows(u_norm, y_norm, ns, m.n_a, m.n_b)
-    x0, psi_cache = mlp_forward_cached(m.psi_net, win)
-    u_steps = _gather_steps(u_norm, ns, T)
-    targets = _gather_steps(y_norm, ns, T)
     caches = []
-    _, outputs = _sim_forward(m, x0, u_steps, ns, caches)
-    diff = outputs - targets
+    diff, psi_cache = _subsection_residuals(m, u_norm, y_norm, ns, T, caches)
     loss = float(np.sum(diff * diff)) / (B * T)
     g_x0 = _sim_backward(m, caches, (2.0 / (B * T)) * diff, f_acc, h_acc)
     mlp_backward_cached(m.psi_net, psi_cache, g_x0, psi_acc)
@@ -102,30 +103,24 @@ def full_sim_loss(
     ``x0`` is a normalized-state vector and an optimization variable in its
     own right; returns (loss, gradient over the model parameters, gradient
     over x0).  The encoder network does not participate (its gradient
-    segment is zero).
+    segment is zero).  This is the independent reference for the truncated
+    loss: with one subsection spanning the record and a constant encoder
+    holding ``x0``, :func:`truncated_loss_and_grad` must give the same loss,
+    so it is kept apart from that path rather than built on it.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape != (m.n_x,):
         raise InvalidArgumentError(f"x0 must have shape ({m.n_x},)")
     dsn = normalize_dataset(ds, m.norm)
-    loss, grad, g_x0 = _full_loss_and_grad_normed(m, dsn.u, dsn.y, x0)
-    return loss, FlatParams(grad, m.layout), g_x0
-
-
-def _full_loss_and_grad_normed(
-    m: SubnetModel, u_norm: Array, y_norm: Array, x0: Array
-) -> tuple[float, Array, Array]:
-    """Full-sequence loss, flat parameter gradient and x0 gradient on pre-normalized arrays."""
-    N = len(y_norm)
     grad = np.zeros_like(m.values)
     f_acc, h_acc, _ = _net_views(m, grad)
     caches = []
     # the simulation starts at sample 0
-    _, outputs = _sim_forward(m, x0[None, :], u_norm[None, :, :], np.zeros(1, np.int64), caches)
-    diff = outputs - y_norm[None, :, :]
-    loss = float(np.sum(diff * diff)) / N
-    g_x0 = _sim_backward(m, caches, (2.0 / N) * diff, f_acc, h_acc)
-    return loss, grad, g_x0[0]
+    _, outputs = _sim_forward(m, x0[None, :], dsn.u[None, :, :], np.zeros(1, np.int64), caches)
+    diff = outputs - dsn.y[None, :, :]
+    loss = float(np.sum(diff * diff)) / ds.n
+    g_x0 = _sim_backward(m, caches, (2.0 / ds.n) * diff, f_acc, h_acc)
+    return loss, FlatParams(grad, m.layout), g_x0[0]
 
 
 # --------------------------------------------------------------------------
@@ -206,6 +201,9 @@ def train(
 ) -> tuple[SubnetModel, TrainHistory]:
     """Adam on the truncated (or full) simulation loss with early stopping.
 
+    The full target is the truncated loss over the one subsection that spans
+    the training record from sample 0; it needs a constant encoder, whose
+    bias is the free initial state and trains like any other parameter.
     Every ``eval_every`` updates the free-run validation RMSE is computed and
     the best model kept; training stops after ``max_updates`` updates, when
     ``patience`` evaluations pass without improvement, or after three
@@ -229,6 +227,10 @@ def train(
     frozen = [sl for name, sl in model.segments.items() if name not in cfg.trainable]
     adam = adam_init(theta.size, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
     sampler = BatchSampler(indices, cfg.batch_size, np.random.default_rng(cfg.seed))
+    if cfg.loss_target == "truncated":
+        next_batch, T = sampler.sample_batch, cfg.T
+    else:  # one subsection spanning the record; x0 is the constant encoder's bias
+        next_batch, T = (lambda: np.zeros(1, np.int64)), train_ds.n
 
     hist = TrainHistory()
     # the incoming model is the fallback checkpoint even if validation never succeeds
@@ -260,13 +262,7 @@ def train(
     while update < cfg.max_updates:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                if cfg.loss_target == "truncated":
-                    batch = sampler.sample_batch()
-                    loss, g = _loss_and_grad_normed(model, dsn.u, dsn.y, batch, cfg.T)
-                else:
-                    x0 = mlp_forward(model.psi_net, np.zeros(0))
-                    loss, g, g_x0 = _full_loss_and_grad_normed(model, dsn.u, dsn.y, x0)
-                    _net_views(model, g)[2].biases[0][:] = g_x0  # x0 lives in the constant encoder
+                loss, g = _loss_and_grad_normed(model, dsn.u, dsn.y, next_batch(), T)
             if not (np.isfinite(loss) and np.isfinite(g).all()):
                 raise NumericFaultError("non-finite loss or gradient", update=update)
             for sl in frozen:
@@ -298,11 +294,8 @@ def train(
 
 
 def save_history_csv(hist: TrainHistory, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["update", "train_loss", "val_rmse"])
-        for r in hist.records:
-            w.writerow([r.update, repr(r.train_loss), repr(r.val_rmse)])
+    write_csv(path, ["update", "train_loss", "val_rmse"],
+              ([r.update, r.train_loss, r.val_rmse] for r in hist.records))
 
 
 # --------------------------------------------------------------------------

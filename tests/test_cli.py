@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from subnet.cli import RunConfig, main, parse_config, run
+from subnet.cli import RunConfig, _write_metrics, main, parse_config, run
 from subnet.data import load_csv
 from subnet.errors import ConfigError
 from subnet.serialize import load_model
@@ -245,6 +245,45 @@ def test_probe_command(tmp_path):
     assert main(["probe-smoothness", "--config", str(cfg)]) == 0
     lines = (out / "probe.csv").read_text().splitlines()
     assert lines[0] == "setting,seed,metric,value" and len(lines) == 5
+
+
+def test_train_without_lags_full_loss_baseline(tmp_path):
+    # n_a = n_b = 0 builds a constant encoder: the free x0 of the full-sequence loss
+    train_csv = _gen(tmp_path, "fl", seed=0)
+    for target in ("full", "truncated"):
+        out = tmp_path / target
+        cfg = _write(tmp_path, f"{target}.json", {
+            "command": "train", "out": str(out),
+            "data": {"train_path": str(train_csv), "dt": 0.5},
+            "model": {**MODEL_SECTION, "n_a": 0, "n_b": 0},
+            "train": {**TRAIN_SECTION, "loss_target": target, "max_updates": 20},
+        })
+        assert main(["train", "--config", str(cfg)]) == 0
+        m = load_model(out / "model.json")
+        assert (m.n_a, m.n_b) == (0, 0) and m.psi_net.layer_sizes == [0, 2]
+
+
+@pytest.mark.parametrize("doc, argv, key", [
+    ({"seed": -1}, [], "seed"),
+    ({}, ["--seed", "-1"], "seed"),
+    ({}, ["--threads", "0"], "threads"),
+    ({"sweep": {"seeds": [0, -2]}}, [], "sweep.seeds.1"),
+])
+def test_bad_seed_or_threads_rejected_before_running(tmp_path, capsys, doc, argv, key):
+    out = tmp_path / "run"
+    cfg = _write(tmp_path, "s.json", {
+        "command": "generate", "out": str(out),
+        "synthetic": {"system": "linear2", "n_samples": 20, "dt": 0.5}, **doc,
+    })
+    assert main(["generate", "--config", str(cfg), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{key}:" in err
+    assert not (out / "effective_config.json").exists()
+
+
+def test_write_metrics_numpy_floats_as_plain_repr(tmp_path):
+    _write_metrics(tmp_path / "m.csv", {"a": np.float64(0.1) + 0.2, "n": 3, "s": "x"})
+    assert (tmp_path / "m.csv").read_text() == f"metric,value\na,{0.1 + 0.2!r}\nn,3\ns,x\n"
 
 
 def test_run_requires_out(tmp_path):

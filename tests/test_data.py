@@ -15,6 +15,7 @@ from subnet.data import (
     save_truth_csv,
     slice_dataset,
     valid_start_indices,
+    write_csv,
 )
 from subnet.errors import (
     DegenerateDataError,
@@ -86,6 +87,20 @@ def test_save_load_roundtrip_exact(tmp_path):
     back = load_csv(tmp_path / "rt.csv", 2, 1, 0.01)
     assert np.array_equal(ds.u, back.u)
     assert np.array_equal(ds.y, back.y)
+
+
+def test_write_csv_repr_floats_lf_exact(tmp_path):
+    x = 0.1 + 0.2  # needs all 17 significant digits
+    rows = [[1, x, np.float64(-1e-300), "a"], [2, float("nan"), np.float64(1) / 3, "b c"]]
+    write_csv(tmp_path / "w.csv", ["i", "f", "g", "s"], rows)
+    raw = (tmp_path / "w.csv").read_bytes()
+    assert b"\r" not in raw and raw.endswith(b"\n")
+    assert b"np.float64(" not in raw
+    lines = raw.decode("utf-8").splitlines()
+    assert lines[0] == "i,f,g,s"
+    assert lines[1].split(",") == ["1", repr(x), repr(-1e-300), "a"]
+    i, f, g, s_ = lines[2].split(",")
+    assert (i, f, s_) == ("2", "nan", "b c") and float(g) == np.float64(1) / 3
 
 
 def test_slice_dataset():

@@ -44,6 +44,15 @@ def _linear_net(n_in, n_out, matrix):
                      np.asarray(matrix, dtype=np.float64))
 
 
+def test_init_model_without_lags_has_constant_zero_encoder():
+    m = init_model(2, 1, 1, 0, 0, SolverConfig(), IDENT, hidden=(4,), seed=7)
+    lagged = init_model(2, 1, 1, 2, 2, SolverConfig(), IDENT, hidden=(4,), seed=7)
+    assert m.psi_net.input_dim == 0 and m.lag == 0
+    assert np.array_equal(encode(m, np.zeros(0)), np.zeros(2))
+    assert np.array_equal(m.values[m.segments["f"]], lagged.values[lagged.segments["f"]])
+    assert np.array_equal(m.values[m.segments["h"]], lagged.values[lagged.segments["h"]])
+
+
 # ---------------------------------------------------------------- windows
 
 

@@ -3,7 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from subnet.data import Dataset, NormStats, SyntheticConfig, fit_normalizer, generate_synthetic
+from subnet.data import (
+    Dataset,
+    NormStats,
+    SyntheticConfig,
+    fit_normalizer,
+    generate_synthetic,
+    normalize_dataset,
+)
 from subnet.errors import DegenerateDataError, InvalidArgumentError
 from subnet.model import (
     SubnetModel,
@@ -16,6 +23,7 @@ from subnet.nnmath import MLPParams, finite_diff_gradient
 from subnet.ode import SolverConfig
 from subnet.training import (
     TrainConfig,
+    _loss_and_grad_normed,
     full_sim_loss,
     save_history_csv,
     suggest_tau,
@@ -307,8 +315,8 @@ def test_truncated_gradient_fd_sweep(mode, method, substeps, lags, T):
 
 
 def test_full_sim_loss_psi_b0_slot_fd():
-    # train's full-loss path writes g_x0 into the psi.b0 view of the gradient; that must
-    # be the gradient of the loss with x0 read from the constant encoder
+    # with x0 held in the constant encoder's bias, g_x0 put into the psi.b0 slot of the
+    # gradient must be the gradient of the loss with respect to that bias
     ds = _toy(22, n=12)
     m = _fd_model("ct", "rk4", 2, 0, 0, ds)
     x0 = m.psi_net.biases[0]
@@ -322,6 +330,22 @@ def test_full_sim_loss_psi_b0_slot_fd():
         model_flatten(m), 1e-5)
     assert np.array_equal(as_model.values[m.segments["psi"]], g_x0)
     assert _rel_err(as_model.values, fd.values).max() <= 1e-5
+
+
+@pytest.mark.parametrize("mode,method,substeps", [("ct", "rk4", 1), ("ct", "euler", 3),
+                                                  ("dt", "rk4", 1)])
+def test_full_target_is_one_subsection_spanning_the_record(mode, method, substeps):
+    # train's full target runs the subsection loss from sample 0 over all N samples; with
+    # a constant encoder that is exactly the full-sequence loss, gradient bit for bit
+    ds = _toy(23, n=15)
+    m = _fd_model(mode, method, substeps, 0, 0, ds)
+    dsn = normalize_dataset(ds, m.norm)
+    loss, grad = _loss_and_grad_normed(m, dsn.u, dsn.y, np.zeros(1, np.int64), ds.n)
+    ref_loss, ref_grad, g_x0 = full_sim_loss(m, ds, m.psi_net.biases[0])
+    ref = model_with_values(m, ref_grad.values)
+    ref.psi_net.biases[0][:] = g_x0
+    assert loss == ref_loss
+    assert np.array_equal(grad, ref.values)
 
 
 # ---------------------------------------------------------------- aliasing
