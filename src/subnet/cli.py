@@ -30,6 +30,7 @@ from .data import (
     generate_synthetic,
     load_csv,
     make_system,
+    open_artifact,
     save_csv,
     save_truth_csv,
     slice_dataset,
@@ -215,8 +216,8 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 
 def _echo_config(cfg: RunConfig, out: Path) -> None:
-    (out / "effective_config.json").write_text(
-        json.dumps(cfg.model_dump(mode="json"), indent=2) + "\n", encoding="utf-8")
+    with open_artifact(out / "effective_config.json") as fh:
+        fh.write(json.dumps(cfg.model_dump(mode="json"), indent=2) + "\n")
 
 
 def _write_metrics(path: Path, items: dict) -> None:
@@ -307,7 +308,8 @@ def _cmd_train(cfg: RunConfig, out: Path) -> RunConfig:
     cfg.model.seed = cfg.seed if cfg.model.seed is None else cfg.model.seed
     m0 = _build_model(cfg, train_ds)
     best, hist = train(m0, train_ds, val_ds, _train_cfg(cfg))
-    (out / "model.json").write_text(hist.best_checkpoint + "\n", encoding="utf-8")
+    with open_artifact(out / "model.json") as fh:
+        fh.write(hist.best_checkpoint + "\n")
     save_history_csv(hist, out / "history.csv")
     metrics = {
         "best_val_rmse": hist.best_val_rmse,
@@ -321,8 +323,8 @@ def _cmd_train(cfg: RunConfig, out: Path) -> RunConfig:
         metrics.update(test_rmse=report.rmse, test_nrmse=report.nrmse,
                        rms_x=report.rms_x, rms_f=report.rms_f)
     _write_metrics(out / "metrics.csv", metrics)
-    (out / "run_info.json").write_text(
-        json.dumps({"wall_time_s": hist.wall_time}, indent=2) + "\n", encoding="utf-8")
+    with open_artifact(out / "run_info.json") as fh:
+        fh.write(json.dumps({"wall_time_s": hist.wall_time}, indent=2) + "\n")
     print(f"best val RMSE {hist.best_val_rmse:.6g} at update {hist.best_update} "
           f"({hist.stop_reason}); artifacts in {out}")
     return cfg

@@ -170,6 +170,20 @@ def load_csv(path, n_u: int, n_y: int, dt: float) -> Dataset:
     return Dataset(arr[:, :n_u], arr[:, n_u:], dt, name=path.stem)
 
 
+def open_artifact(path):
+    """Open ``path`` as a new UTF-8 text file (``\n`` written as is) for an artifact.
+
+    An existing file is unlinked first rather than truncated: truncating a
+    file that still has unflushed blocks can stall for a filesystem flush
+    (tens of ms per file on ext4 with delayed allocation).  So a symlink at
+    ``path`` is replaced by a regular file, and other hard links to the old
+    file keep the old content.
+    """
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    return open(path, "w", newline="", encoding="utf-8")
+
+
 def write_csv(path, header: list[str], rows) -> None:
     """Write one CSV artifact: UTF-8, LF line ends, ``repr`` floats.
 
@@ -177,7 +191,7 @@ def write_csv(path, header: list[str], rows) -> None:
     ``repr(float(v))``, the shortest text that reads back to the same float;
     other cells are written as they are.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_artifact(path) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         for row in rows:
@@ -288,10 +302,11 @@ class SyntheticConfig:
 class SyntheticSystem:
     """Ground-truth dynamics in raw units: dx/dt = f(x, u), y = h(x).
 
-    ``f`` is written on plain floats: it takes any indexable ``x`` and ``u``
-    (a list or a 1-D array) and returns a tuple of ``n_x`` floats, so the
-    generator's scalar loop and the array-based reconstruction oracle share
-    one definition of the physics.
+    Both systems have two states and one input.  ``f`` is written on plain
+    floats: it takes any indexable ``x`` and ``u`` (a tuple, a list or a 1-D
+    array) and returns a tuple of ``n_x`` floats, so the generator's scalar
+    loop and the array-based reconstruction oracle share one definition of
+    the physics.
     """
 
     name: str
@@ -318,10 +333,14 @@ def make_system(cfg: SyntheticConfig) -> SyntheticSystem:
     x0 = np.array([p["x01"], p["x02"]])
     if cfg.system == "cascaded_tanks":
         k1, k2, k4 = p["k1"], p["k2"], p["k4"]
+        sqrt = math.sqrt
 
         def f(x, u):
-            r1 = math.sqrt(max(x[0], 0.0))
-            r2 = math.sqrt(max(x[1], 0.0))
+            # ``0.0 if 0.0 > v else v`` is ``max(v, 0.0)`` to the bit (-0.0 and NaN
+            # included) without the builtin call
+            v0, v1 = x[0], x[1]
+            r1 = sqrt(0.0 if 0.0 > v0 else v0)
+            r2 = sqrt(0.0 if 0.0 > v1 else v1)
             return (-k1 * r1 + k4 * u[0], k1 * r1 - k2 * r2)
 
         def h(x):
@@ -376,37 +395,45 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[Dataset, TruthTrace]:
     Integration is classical RK4 on plain floats (tau = 1), with
     ``truth_substeps`` sub-intervals of ``dt / truth_substeps`` per sample
     under ZOH input; tank states are clamped to the overflow box after every
-    sub-interval.  Raises :class:`GenerationError` naming the sample and
-    sub-step when a state becomes non-finite (checked before the clamp), and
-    the sample when a state grows past 1e9.
+    sub-interval.  The loop keeps the two states in two float locals and
+    calls ``f((x0, x1), u_k)``; its stage sums and clamp do the IEEE
+    operations of ``ode.ode_step`` followed by ``np.clip`` in the same order,
+    so they round alike, signed zeros included.  Raises
+    :class:`GenerationError` naming the sample and sub-step when a state
+    becomes non-finite (checked before the clamp), and the sample when a
+    state grows past 1e9.
     """
     system = make_system(cfg)
     input_rng, noise_rng = [np.random.default_rng(s)
                             for s in np.random.SeedSequence(cfg.seed).spawn(2)]
     u = generate_input(cfg, system, input_rng)
 
-    f, clamp = system.f, system.clamp
+    f, isfinite = system.f, math.isfinite
+    lo, hi = system.clamp if system.clamp is not None else (None, None)
     h = cfg.dt / cfg.truth_substeps
     q, r = h / 2.0, h / 6.0
-    x = [float(v) for v in system.x0]
+    x0, x1 = (float(v) for v in system.x0)
     states = np.empty((cfg.n_samples, system.n_x))
     for k in range(cfg.n_samples):
-        states[k] = x
+        states[k] = (x0, x1)
         if k == cfg.n_samples - 1:
             break
         uk = u[k].tolist()
         for i in range(cfg.truth_substeps):
-            k1 = f(x, uk)
-            k2 = f([a + q * b for a, b in zip(x, k1)], uk)
-            k3 = f([a + q * b for a, b in zip(x, k2)], uk)
-            k4 = f([a + h * b for a, b in zip(x, k3)], uk)
-            x = [a + r * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                 for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
-            if not all(map(math.isfinite, x)):
+            a0, a1 = f((x0, x1), uk)
+            b0, b1 = f((x0 + q * a0, x1 + q * a1), uk)
+            c0, c1 = f((x0 + q * b0, x1 + q * b1), uk)
+            d0, d1 = f((x0 + h * c0, x1 + h * c1), uk)
+            x0 = x0 + r * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
+            x1 = x1 + r * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+            if not (isfinite(x0) and isfinite(x1)):
                 raise GenerationError(f"non-finite state at sample {k + 1}, substep {i}")
-            if clamp is not None:
-                x = [min(max(v, clamp[0]), clamp[1]) for v in x]  # as np.clip, to the bit
-        if max(map(abs, x)) > 1e9:
+            if lo is not None:  # min(max(v, lo), hi), as np.clip, to the bit
+                x0 = lo if lo > x0 else x0
+                x0 = hi if hi < x0 else x0
+                x1 = lo if lo > x1 else x1
+                x1 = hi if hi < x1 else x1
+        if abs(x0) > 1e9 or abs(x1) > 1e9:
             raise GenerationError(f"trajectory diverged at sample {k + 1}")
 
     y_clean = np.stack([system.h(states[k]) for k in range(cfg.n_samples)])

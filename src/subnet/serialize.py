@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import NormStats
+from .data import NormStats, open_artifact
 from .errors import ParseError
 from .model import SubnetModel
 from .nnmath import MLPParams, mlp_layout
@@ -111,7 +111,8 @@ def model_to_json(m: SubnetModel) -> str:
 
 
 def save_model(m: SubnetModel, path) -> None:
-    Path(path).write_text(model_to_json(m) + "\n", encoding="utf-8")
+    with open_artifact(path) as fh:
+        fh.write(model_to_json(m) + "\n")
 
 
 def load_model(path) -> SubnetModel:

@@ -215,7 +215,12 @@ def train(
         raise InvalidArgumentError(
             "loss_target='full' optimizes a free x0; use a constant (zero-input) encoder"
         )
-    indices = valid_start_indices(train_ds.n, cfg.T, m0.n_a, m0.n_b)
+    if cfg.loss_target == "truncated":
+        indices = valid_start_indices(train_ds.n, cfg.T, m0.n_a, m0.n_b)
+        sampler = BatchSampler(indices, cfg.batch_size, np.random.default_rng(cfg.seed))
+        next_batch, T = sampler.sample_batch, cfg.T
+    else:  # one subsection spanning the record; x0 is the constant encoder's bias
+        next_batch, T = (lambda: np.zeros(1, np.int64)), train_ds.n
     if val_ds.n <= m0.lag:
         raise InvalidArgumentError("validation set too short for the encoder lag")
 
@@ -226,11 +231,6 @@ def train(
     theta = model.values
     frozen = [sl for name, sl in model.segments.items() if name not in cfg.trainable]
     adam = adam_init(theta.size, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
-    sampler = BatchSampler(indices, cfg.batch_size, np.random.default_rng(cfg.seed))
-    if cfg.loss_target == "truncated":
-        next_batch, T = sampler.sample_batch, cfg.T
-    else:  # one subsection spanning the record; x0 is the constant encoder's bias
-        next_batch, T = (lambda: np.zeros(1, np.int64)), train_ds.n
 
     hist = TrainHistory()
     # the incoming model is the fallback checkpoint even if validation never succeeds

@@ -103,6 +103,14 @@ def test_write_csv_repr_floats_lf_exact(tmp_path):
     assert (i, f, s_) == ("2", "nan", "b c") and float(g) == np.float64(1) / 3
 
 
+def test_rewriting_a_csv_artifact_gives_the_bytes_of_a_fresh_write(tmp_path):
+    fresh, rewritten = tmp_path / "fresh.csv", tmp_path / "rewritten.csv"
+    write_csv(fresh, ["a", "b"], [[1, 0.1], [2, -0.1]])
+    for x in (123456.789, 0.2, 0.1):  # longer, then shorter content first
+        write_csv(rewritten, ["a", "b"], [[1, x], [2, -x]])
+    assert rewritten.read_bytes() == fresh.read_bytes()
+
+
 def test_slice_dataset():
     ds = Dataset(np.arange(10.0)[:, None], np.arange(10.0)[:, None], 1.0)
     head = slice_dataset(ds, 0, 6)
@@ -359,18 +367,28 @@ def _generated(cfg):
     SyntheticConfig(system="linear2", n_samples=60, dt=0.5, seed=5, input_kind="random_steps"),
     SyntheticConfig(system="linear2", n_samples=60, dt=0.5, seed=6, input_kind="random_steps",
                     truth_substeps=10),
+    # negative-zero initial states: max(v, 0.0), the clamp and the products keep -0.0
+    SyntheticConfig(n_samples=60, seed=8, params={"x01": -0.0, "x02": -0.0,
+                                                  "input_offset": 0.0, "input_scale": 0.0}),
+    SyntheticConfig(n_samples=60, seed=9, params={"x01": -0.0, "x02": -0.0}),
+    SyntheticConfig(system="linear2", n_samples=60, dt=0.5, seed=10, params={"x01": -0.0}),
+    # k1 < 0 and k4 = -0.0 keep the upper tank at -0.0 through every sub-step and clamp
+    SyntheticConfig(n_samples=60, seed=11, params={"x01": -0.0, "k1": -0.5, "k4": -0.0,
+                                                   "input_scale": 0.0}),
 ], ids=["tanks", "tanks-steps", "linear2", "linear2-sub10", "linear2-steps",
-        "linear2-steps-sub10"])
+        "linear2-steps-sub10", "tanks-negzero-zero-input", "tanks-negzero", "linear2-negzero",
+        "tanks-negzero-through-clamp"])
 def test_generator_bit_equal_to_array_reference(cfg):
+    # tobytes, not array_equal: -0.0 == 0.0, but the sign bit must match too
     for got, want in zip(_generated(cfg), _reference_generate(cfg)):
-        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_generator_bit_equal_to_array_reference_through_both_clamps():
     cfg = SyntheticConfig(n_samples=60, seed=0, params={"input_offset": 2.0, "input_scale": 1.5})
     got = _generated(cfg)
     for g, want in zip(got, _reference_generate(cfg)):
-        assert np.array_equal(g, want)
+        assert g.tobytes() == want.tobytes()
     states = got[2]
     assert (states[1:] == 0.0).any() and (states == 10.0).any()
 

@@ -226,6 +226,19 @@ def test_train_full_loss_target_runs():
     assert losses[-1] < losses[0]  # x0 and theta both move
 
 
+def test_full_loss_target_trains_on_record_shorter_than_T():
+    # the full target's one subsection spans the record, so T (default 30) is unused
+    ds = _toy(5, n=20)
+    m0 = _toy_model(ds, n_a=0, n_b=0, hidden=(6,))
+    tc = TrainConfig(max_updates=20, eval_every=10, seed=0, loss_target="full")
+    assert ds.n < tc.T
+    _, hist = train(m0, ds, ds, tc)
+    assert hist.n_updates == 20
+    assert all(np.isfinite(r.train_loss) for r in hist.records[1:])
+    with pytest.raises(InvalidArgumentError, match="N=20 too small for T=30"):
+        train(m0, ds, ds, dataclasses.replace(tc, loss_target="truncated"))
+
+
 def test_history_csv_roundtrip(tmp_path):
     ds = _toy(1)
     m0 = _toy_model(ds)
