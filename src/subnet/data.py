@@ -171,7 +171,7 @@ def load_csv(path, n_u: int, n_y: int, dt: float) -> Dataset:
 
 
 def open_artifact(path):
-    """Open ``path`` as a new UTF-8 text file (``\n`` written as is) for an artifact.
+    """Open ``path`` as a new UTF-8 text file for an artifact (no newline translation).
 
     An existing file is unlinked first rather than truncated: truncating a
     file that still has unflushed blocks can stall for a filesystem flush
@@ -333,14 +333,13 @@ def make_system(cfg: SyntheticConfig) -> SyntheticSystem:
     x0 = np.array([p["x01"], p["x02"]])
     if cfg.system == "cascaded_tanks":
         k1, k2, k4 = p["k1"], p["k2"], p["k4"]
-        sqrt = math.sqrt
 
         def f(x, u):
             # ``0.0 if 0.0 > v else v`` is ``max(v, 0.0)`` to the bit (-0.0 and NaN
             # included) without the builtin call
             v0, v1 = x[0], x[1]
-            r1 = sqrt(0.0 if 0.0 > v0 else v0)
-            r2 = sqrt(0.0 if 0.0 > v1 else v1)
+            r1 = math.sqrt(0.0 if 0.0 > v0 else v0)
+            r2 = math.sqrt(0.0 if 0.0 > v1 else v1)
             return (-k1 * r1 + k4 * u[0], k1 * r1 - k2 * r2)
 
         def h(x):
