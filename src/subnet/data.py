@@ -175,9 +175,12 @@ def open_artifact(path):
 
     An existing file is unlinked first rather than truncated: truncating a
     file that still has unflushed blocks can stall for a filesystem flush
-    (tens of ms per file on ext4 with delayed allocation).  So a symlink at
-    ``path`` is replaced by a regular file, and other hard links to the old
-    file keep the old content.
+    (tens of ms per file on ext4 with delayed allocation).  That flush is
+    ext4's ``auto_da_alloc`` crash protection, and a newly created file does
+    not get it: if the machine crashes or loses power before the new file's
+    data reach the disk, the artifact can be left empty, with its old
+    content already gone.  Also, a symlink at ``path`` is replaced by a
+    regular file, and other hard links to the old file keep the old content.
     """
     path = Path(path)
     path.unlink(missing_ok=True)

@@ -4,8 +4,8 @@
 any callable ``f(x, u) -> dx`` under a zero-order-hold input, for the
 state-reconstruction oracle and the model alike.  (The synthetic generator
 steps its two-state ground truth with its own RK4 loop on two float locals,
-which computes the same floats as this function followed by ``np.clip``;
-numpy dispatch on 2-element arrays would cost ~15x the time.)  The model's
+which computes the same floats as this function followed by ``np.clip``,
+without numpy dispatch on 2-element arrays.)  The model's
 MLP derivative enters it through ``mlp_ode_step_plain`` (rollouts without
 gradients: free runs, ``simulate_subsection`` and the smoothness probe) and
 ``mlp_ode_step_cached``, which also keeps every stage's activations so that

@@ -95,22 +95,6 @@ def test_generate_writes_loadable_csvs(tmp_path):
     assert echo["synthetic"]["seed"] == 3  # resolved from the top-level seed
 
 
-def test_rerun_into_the_same_out_dir_rewrites_identical_bytes(tmp_path):
-    out = tmp_path / "gen"
-
-    def generate(n):
-        cfg = _write(tmp_path, "g.json", {
-            "command": "generate", "out": str(out), "seed": 3,
-            "synthetic": {"system": "cascaded_tanks", "n_samples": n, "dt": 4.0}})
-        assert main(["generate", "--config", str(cfg)]) == 0
-        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-
-    first = generate(64)
-    assert set(first) == {"dataset.csv", "effective_config.json", "truth.csv"}
-    assert generate(200) != first  # longer content in between
-    assert generate(64) == first
-
-
 @pytest.mark.parametrize("params, key", [
     ({"k_1": 0.9}, "'k_1'"),
     ({"k1": float("inf")}, "'k1'"),  # written as JSON Infinity

@@ -11,6 +11,7 @@ from subnet.data import (
     load_csv,
     make_system,
     normalize_dataset,
+    open_artifact,
     save_csv,
     save_truth_csv,
     slice_dataset,
@@ -103,12 +104,25 @@ def test_write_csv_repr_floats_lf_exact(tmp_path):
     assert (i, f, s_) == ("2", "nan", "b c") and float(g) == np.float64(1) / 3
 
 
-def test_rewriting_a_csv_artifact_gives_the_bytes_of_a_fresh_write(tmp_path):
-    fresh, rewritten = tmp_path / "fresh.csv", tmp_path / "rewritten.csv"
+def test_open_artifact_writes_a_new_file(tmp_path):
+    # an artifact is unlinked and created again, never truncated in place
+    path, fresh = tmp_path / "a.csv", tmp_path / "fresh.csv"
     write_csv(fresh, ["a", "b"], [[1, 0.1], [2, -0.1]])
-    for x in (123456.789, 0.2, 0.1):  # longer, then shorter content first
-        write_csv(rewritten, ["a", "b"], [[1, x], [2, -x]])
-    assert rewritten.read_bytes() == fresh.read_bytes()
+    write_csv(path, ["a", "b"], [[1, 123456.789]])
+    old = path.read_bytes()
+    (tmp_path / "hard").hardlink_to(path)
+    write_csv(path, ["a", "b"], [[1, 0.1], [2, -0.1]])
+    assert path.read_bytes() == fresh.read_bytes()
+    assert (tmp_path / "hard").read_bytes() == old  # the other link keeps the old file
+
+    target = tmp_path / "target.json"
+    target.write_text("kept", encoding="utf-8")
+    (tmp_path / "link.json").symlink_to(target)
+    with open_artifact(tmp_path / "link.json") as fh:
+        fh.write("new\n")
+    assert not (tmp_path / "link.json").is_symlink()
+    assert (tmp_path / "link.json").read_bytes() == b"new\n"
+    assert target.read_text(encoding="utf-8") == "kept"
 
 
 def test_slice_dataset():

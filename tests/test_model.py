@@ -467,15 +467,6 @@ def test_serialization_irrational_values_roundtrip(tmp_path):
     assert back.solver.tau == np.pi and back.solver.dt == 1 / 3
 
 
-def test_rewriting_a_model_file_gives_the_bytes_of_a_fresh_write(tmp_path):
-    small = init_model(2, 1, 1, 3, 3, SolverConfig(), IDENT, hidden=(4,), seed=1)
-    large = init_model(2, 1, 1, 3, 3, SolverConfig(), IDENT, hidden=(16, 16), seed=2)
-    save_model(small, tmp_path / "fresh.json")
-    for m in (large, small):  # longer content first
-        save_model(m, tmp_path / "rewritten.json")
-    assert (tmp_path / "rewritten.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
-
-
 def test_load_model_errors(tmp_path):
     with pytest.raises(ParseError):
         load_model(tmp_path / "missing.json")

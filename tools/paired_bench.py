@@ -4,21 +4,23 @@
         --seeds 1401-1410 --claim generate_ms_per_1k --out BENCH_9.json
 
 The parent revision (and ``--change``, when given; by default the working tree
-of this checkout) is exported with ``git archive`` into ``--work``.  For every
-workload and seed the script runs ``perfbench/run.py --seconds 25 --trace 0``
-once in each tree, alternating which tree goes first, one run at a time.  A run
-that is not ``correct`` or has failed operations is rejected: its pair is left
-out of the statistics and listed under ``rejected``.
+of this checkout) is exported with ``git archive`` into a temporary directory,
+removed afterwards.  For every workload and seed the script runs
+``perfbench/run.py --seconds 25 --trace 0`` once in each tree, alternating
+which tree goes first, one run at a time.  A run that is not ``correct`` or has
+failed operations is rejected: its pair is left out of the statistics and
+listed under ``rejected``.
 
 For every end-to-end metric of ``BENCHMARK.json`` the output holds both trees'
 median and quartiles, the relative change of the medians, whether that change
-stays inside the metric's regression bound (``unresolved`` when the parent's
-interquartile range is wider than the bound and not every change run is
-better than every parent run), and how many pairs the change won.
-A claimed metric (``--claim``) passes when the change wins at least 9 of every
-10 pairs and the gap between the medians exceeds the parent's interquartile
-range.  Exits with status 1 when a run was rejected, a bound was exceeded, a
-metric was unresolved or a claim failed.
+stays inside the metric's regression bound (not when the change cannot be
+computed, ``unresolved`` when the parent's interquartile range is wider than
+the bound and not every change run is better than every parent run), and how
+many pairs the change won.  A claimed metric (``--claim``, checked on every
+workload run) passes when no pair of that workload was rejected, the change
+wins at least 9 of every 10 pairs and the gap between the medians exceeds the
+parent's interquartile range.  Exits with status 1 when a run was rejected, a
+bound was exceeded, a metric was unresolved or a claim failed.
 """
 
 from __future__ import annotations
@@ -39,15 +41,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("tanks-train", "tanks-freerun", "linear2-sweep")
+SECONDS = 25  # the paired-run rule's run length
 
 
 def _seeds(text: str) -> list[int]:
-    """``"1401-1410"`` or ``"3,5,9"`` (ranges and single seeds mix)."""
-    out = []
-    for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        out.extend(range(int(lo), int(hi or lo) + 1))
-    return out
+    """``"1401-1410"``: an inclusive range of seeds."""
+    lo, sep, hi = text.partition("-")
+    if not (sep and lo.isdigit() and hi.isdigit() and int(lo) <= int(hi)):
+        raise argparse.ArgumentTypeError(f"expected a range like 1401-1410, got {text!r}")
+    return list(range(int(lo), int(hi) + 1))
 
 
 def _export(rev: str, dest: Path) -> str:
@@ -64,12 +66,12 @@ def _export(rev: str, dest: Path) -> str:
     return sha
 
 
-def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def _run(tree: Path, workload: str, seed: int) -> dict:
     """One benchmark run; the last line of its standard output is the result."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(SECONDS), "--trace", "0"],
         cwd=tree, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -114,11 +116,37 @@ def _compare(pairs: list[tuple[dict, dict]], metric: dict) -> dict:
     return {
         "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
         "parent": {**ps, "values": parent}, "change": {**cs, "values": change},
-        "rel_change": rel, "within_bound": not worse > metric["bound"],
+        "rel_change": rel, "within_bound": worse <= metric["bound"],  # false for nan
         "unresolved": unresolved,
         "pairs": len(pairs), "wins": wins, "gain": gain,
         "gain_exceeds_parent_iqr": gain > ps["iqr"],
     }
+
+
+def _judge(report: dict, claims: list[str]) -> bool:
+    """Append one verdict per (claim, workload) to ``report``; True when all holds."""
+    ok = not report["rejected"]
+    for wl in report["workloads"].values():
+        ok = ok and bool(wl["metrics"]) and all(
+            m["within_bound"] and not m["unresolved"] for m in wl["metrics"].values())
+    for metric in claims:
+        for workload, wl in report["workloads"].items():
+            rejected = sum(r["workload"] == workload for r in report["rejected"])
+            m = wl["metrics"].get(metric)
+            passed = (m is not None and not rejected
+                      and m["wins"] >= math.ceil(0.9 * m["pairs"])
+                      and m["gain_exceeds_parent_iqr"])
+            entry = {"workload": workload, "metric": metric, "rejected_runs": rejected}
+            if m is not None:
+                entry.update({
+                    "pairs": m["pairs"], "wins": m["wins"],
+                    "parent_median": m["parent"]["median"],
+                    "change_median": m["change"]["median"], "gain": m["gain"],
+                    "parent_iqr": m["parent"]["iqr"]})
+            report["claims"].append({**entry, "verdict": "pass" if passed else "fail"})
+            ok = ok and passed
+    report["verdict"] = "pass" if ok else "fail"
+    return ok
 
 
 def main(argv=None) -> int:
@@ -128,20 +156,16 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", choices=WORKLOADS, required=True,
                         help="repeat for several workloads")
     parser.add_argument("--seeds", type=_seeds, required=True, help='e.g. "1401-1410"')
-    parser.add_argument("--claim", action="append", default=[], metavar="[WORKLOAD:]METRIC",
-                        help="a claimed gain; without WORKLOAD it applies to every workload")
-    parser.add_argument("--seconds", type=float, default=25.0)
-    parser.add_argument("--work", type=Path, help="where the exported trees go (default: a "
-                        "temporary directory, removed afterwards)")
+    parser.add_argument("--claim", action="append", default=[], metavar="METRIC",
+                        help="a claimed gain, checked on every workload run")
     parser.add_argument("--out", type=Path, required=True, help="e.g. BENCH_9.json")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
-        work = args.work or Path(tmp)
-        trees = {"parent": work / "parent"}
+        trees = {"parent": Path(tmp) / "parent"}
         revs = {"parent": _export(args.parent, trees["parent"])}
         if args.change:
-            trees["change"] = work / "change"
+            trees["change"] = Path(tmp) / "change"
             revs["change"] = _export(args.change, trees["change"])
         else:
             trees["change"] = ROOT
@@ -154,7 +178,7 @@ def main(argv=None) -> int:
             "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
             "host": {"cpu": _cpu_model(), "cpus": os.cpu_count(),
                      "python": platform.python_version(), "numpy": metadata.version("numpy")},
-            "revisions": revs, "seconds": args.seconds, "trace": 0,
+            "revisions": revs, "seconds": SECONDS, "trace": 0,
             "workloads": {}, "claims": [], "rejected": [],
         }
         for workload in args.workload:
@@ -163,7 +187,7 @@ def main(argv=None) -> int:
                 first, second = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 res = {}
                 for side in (first, second):
-                    res[side] = _run(trees[side], workload, seed, args.seconds)
+                    res[side] = _run(trees[side], workload, seed)
                     print(f"{workload} seed {seed} {side}: "
                           + json.dumps({k: v["value"] for k, v in
                                         res[side].get("metrics", {}).items()}), flush=True)
@@ -182,30 +206,8 @@ def main(argv=None) -> int:
                 "metrics": ({m["name"]: _compare(pairs, m) for m in spec["end_to_end"]}
                             if pairs else {}),
             }
-
-        ok = not report["rejected"]
-        for workload, wl in report["workloads"].items():
-            ok = ok and bool(wl["metrics"]) and all(
-                m["within_bound"] and not m["unresolved"] for m in wl["metrics"].values())
-        for claim in args.claim:
-            target, _, metric = claim.rpartition(":")
-            matched = [w for w, wl in report["workloads"].items()
-                       if (not target or target == w) and metric in wl["metrics"]]
-            if not matched:
-                report["claims"].append({"claim": claim, "verdict": "fail",
-                                         "reason": "no run of this workload reports this metric"})
-                ok = False
-            for workload in matched:
-                m = report["workloads"][workload]["metrics"][metric]
-                passed = m["wins"] >= math.ceil(0.9 * m["pairs"]) and m["gain_exceeds_parent_iqr"]
-                report["claims"].append({
-                    "workload": workload, "metric": metric, "pairs": m["pairs"],
-                    "wins": m["wins"], "parent_median": m["parent"]["median"],
-                    "change_median": m["change"]["median"], "gain": m["gain"],
-                    "parent_iqr": m["parent"]["iqr"], "verdict": "pass" if passed else "fail"})
-                ok = ok and passed
-        report["verdict"] = "pass" if ok else "fail"
-        args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    ok = _judge(report, args.claim)
+    args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"{report['verdict']}: wrote {args.out}")
     return 0 if ok else 1
 
