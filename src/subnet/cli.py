@@ -52,7 +52,7 @@ COMMANDS = ("generate", "train", "eval", "sweep-tau", "probe-smoothness",
 
 
 class _Strict(BaseModel):
-    model_config = ConfigDict(extra="forbid")
+    model_config = ConfigDict(extra="forbid", allow_inf_nan=False)
 
 
 class DataSection(_Strict):
@@ -135,7 +135,7 @@ class EnsembleSection(_Strict):
 
 
 class RunConfig(_Strict):
-    format_version: int = 1
+    format_version: Literal[1] = 1
     command: Optional[Literal[COMMANDS]] = None
     seed: int = Field(0, ge=0)
     out: Optional[str] = None
@@ -250,7 +250,7 @@ def _resolve_tau(cfg: RunConfig, train_ds: Dataset) -> RunConfig:
 
 
 def _train_cfg(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig(**cfg.train.model_dump(), seed=cfg.seed, mode=cfg.model.mode)
+    return TrainConfig(**cfg.train.model_dump(), seed=cfg.seed)
 
 
 def _synth_cfg(cfg: RunConfig) -> SyntheticConfig:
@@ -266,7 +266,7 @@ def _sweep(cfg: RunConfig, splits: tuple[Dataset, Dataset, Dataset], grid, seeds
     """:func:`evaluation.tau_sweep` over ``grid`` x ``seeds``, with ``cfg.threads`` workers."""
     m = cfg.model
     args = (*splits, grid, seeds, _train_cfg(cfg), m.n_x, m.n_a, m.n_b, tuple(m.hidden),
-            cfg.solver.method, cfg.solver.substeps)
+            cfg.solver.method, cfg.solver.substeps, m.mode)
     if cfg.threads <= 1 or len(grid) * len(seeds) <= 1:
         return ev.tau_sweep(*args)
     with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.threads) as pool:

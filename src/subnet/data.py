@@ -309,7 +309,7 @@ class SyntheticSystem:
     floats: it takes any indexable ``x`` and ``u`` (a tuple, a list or a 1-D
     array) and returns a tuple of ``n_x`` floats, so the generator's scalar
     loop and the array-based reconstruction oracle share one definition of
-    the physics.
+    the physics.  ``h`` maps states ``(..., n_x)`` to outputs ``(..., n_y)``.
     """
 
     name: str
@@ -345,10 +345,7 @@ def make_system(cfg: SyntheticConfig) -> SyntheticSystem:
             r2 = math.sqrt(0.0 if 0.0 > v1 else v1)
             return (-k1 * r1 + k4 * u[0], k1 * r1 - k2 * r2)
 
-        def h(x):
-            return np.array([x[1]])
-
-        return SyntheticSystem("cascaded_tanks", 2, 1, 1, f, h, x0,
+        return SyntheticSystem("cascaded_tanks", 2, 1, 1, f, lambda x: x[..., 1:], x0,
                                clamp=(0.0, p["x_max"]), params=p)
 
     a11, a12, a21, a22 = p["a11"], p["a12"], p["a21"], p["a22"]
@@ -359,7 +356,8 @@ def make_system(cfg: SyntheticConfig) -> SyntheticSystem:
         return (a11 * x[0] + a12 * x[1] + b1 * u[0],
                 a21 * x[0] + a22 * x[1] + b2 * u[0])
 
-    return SyntheticSystem("linear2", 2, 1, 1, f, lambda x: np.array([C @ x]), x0,
+    # a stack of (1, 2) @ (2,) products rounds each row as ``C @ x`` does; ``x @ C`` does not
+    return SyntheticSystem("linear2", 2, 1, 1, f, lambda x: x[..., None, :] @ C, x0,
                            params=p)
 
 
@@ -438,7 +436,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[Dataset, TruthTrace]:
         if abs(x0) > 1e9 or abs(x1) > 1e9:
             raise GenerationError(f"trajectory diverged at sample {k + 1}")
 
-    y_clean = np.stack([system.h(states[k]) for k in range(cfg.n_samples)])
+    y_clean = system.h(states)
     noise = noise_rng.standard_normal(y_clean.shape) * cfg.noise_std
     ds = Dataset(u, y_clean + noise, cfg.dt, name=f"{cfg.system}-seed{cfg.seed}")
     return ds, TruthTrace(_readonly(states), _readonly(y_clean))

@@ -37,7 +37,7 @@ from .model import (
     simulate_free_run,
     trace_rms,
 )
-from .nnmath import Array
+from .nnmath import Array, finite_diff_jacobian
 from .ode import SolverConfig, ode_step
 from .training import TrainConfig, _subsection_residuals, train
 
@@ -144,7 +144,7 @@ def run_cell(
     train_ds: Dataset, val_ds: Dataset, test_ds: Dataset,
     dt_over_tau: float, seed: int, train_cfg: TrainConfig,
     n_x: int, n_a: int, n_b: int, hidden: tuple[int, ...] = (64, 64),
-    method: str = "rk4", substeps: int = 1,
+    method: str = "rk4", substeps: int = 1, mode: str = "ct",
 ) -> SweepCell:
     """Train one model at a fixed dt/tau and evaluate it on the test split.
 
@@ -156,7 +156,7 @@ def run_cell(
         solver = SolverConfig(method, substeps, train_ds.dt / dt_over_tau, train_ds.dt)
         norm = fit_normalizer(train_ds)
         m0 = init_model(n_x, train_ds.n_u, train_ds.n_y, n_a, n_b, solver, norm,
-                        mode=train_cfg.mode, hidden=hidden, seed=seed)
+                        mode=mode, hidden=hidden, seed=seed)
         best, hist = train(m0, train_ds, val_ds, replace(train_cfg, seed=seed))
         if not np.isfinite(hist.best_val_rmse):
             raise NumericFaultError("no validation free run stayed finite",
@@ -173,7 +173,7 @@ def tau_sweep(
     train_ds: Dataset, val_ds: Dataset, test_ds: Dataset,
     dt_over_tau_grid, seeds, train_cfg: TrainConfig,
     n_x: int, n_a: int, n_b: int, hidden: tuple[int, ...] = (64, 64),
-    method: str = "rk4", substeps: int = 1, map=map,
+    method: str = "rk4", substeps: int = 1, mode: str = "ct", map=map,
 ) -> list[SweepCell]:
     """One :func:`run_cell` per (dt/tau, seed), ratio-major; failures become NaN rows.
 
@@ -187,7 +187,7 @@ def tau_sweep(
         raise InvalidArgumentError("grid and seeds must be nonempty")
     cell = functools.partial(run_cell, train_ds, val_ds, test_ds, train_cfg=train_cfg,
                              n_x=n_x, n_a=n_a, n_b=n_b, hidden=hidden, method=method,
-                             substeps=substeps)
+                             substeps=substeps, mode=mode)
     return list(map(cell, *zip(*grid)))
 
 
@@ -280,8 +280,7 @@ def _backward_state(system: SyntheticSystem, x: Array, u_window: Array,
 def _residual(system: SyntheticSystem, x_hat: Array, u_win: Array, y_win: Array,
               dt: float, substeps: int) -> Array:
     xs = _backward_state(system, x_hat, u_win, dt, substeps)
-    return np.concatenate([y_win[p] - np.asarray(system.h(xs[p]), dtype=np.float64)
-                           for p in range(len(xs))])
+    return (y_win - system.h(np.array(xs))).ravel()
 
 
 # Gauss-Newton iteration cap, converged-step norm, and central-difference step
@@ -324,10 +323,8 @@ def _gn_minimize(resid, x0: Array):
 
     for _ in range(_GN_MAX_ITERS):
         try:
-            J = _fd_jacobian(resid, x)
+            J = finite_diff_jacobian(resid, x, _FD_STEP)
         except NumericFaultError:
-            return x, cost, False
-        if not np.isfinite(J).all():
             return x, cost, False
         delta = np.linalg.lstsq(J, -r, rcond=None)[0]
         if float(np.linalg.norm(delta)) < _GN_STEP_TOL:
@@ -389,14 +386,3 @@ def reconstruct_oracle(
     if best_x is None:
         raise NoSolutionError("Gauss-Newton did not converge from any start")
     return best_x
-
-
-def _fd_jacobian(resid, x: Array) -> Array:
-    cols = []
-    for i in range(x.size):
-        hi = x.copy()
-        lo = x.copy()
-        hi[i] += _FD_STEP
-        lo[i] -= _FD_STEP
-        cols.append((resid(hi) - resid(lo)) / (2.0 * _FD_STEP))
-    return np.stack(cols, axis=1)

@@ -309,20 +309,30 @@ def adam_step(s: AdamState, theta: Array, grad: Array) -> None:
 # --------------------------------------------------------------------------
 
 
-def finite_diff_gradient(loss_fn, theta: FlatParams, step: float) -> FlatParams:
-    """Central-difference gradient of a scalar function of FlatParams."""
+def finite_diff_jacobian(fn, x: Array, step: float) -> Array:
+    """Central-difference Jacobian (m, n) of ``fn``, which maps an n-vector to m values.
+
+    Raises :class:`NumericFaultError` naming the coordinate whose column is
+    not finite.
+    """
     if step <= 0:
         raise InvalidArgumentError("step must be positive")
-    base = theta.values
-    out = np.zeros_like(base)
-    for i in range(base.size):
-        hi = base.copy()
-        lo = base.copy()
+    cols = []
+    for i in range(x.size):
+        hi = x.copy()
+        lo = x.copy()
         hi[i] += step
         lo[i] -= step
-        f_hi = float(loss_fn(theta.with_values(hi)))
-        f_lo = float(loss_fn(theta.with_values(lo)))
-        if not (np.isfinite(f_hi) and np.isfinite(f_lo)):
-            raise NumericFaultError("loss non-finite during finite differences", coordinate=i)
-        out[i] = (f_hi - f_lo) / (2.0 * step)
-    return theta.with_values(out)
+        with np.errstate(over="ignore", invalid="ignore"):
+            col = (np.asarray(fn(hi), dtype=np.float64) - fn(lo)) / (2.0 * step)
+        if not np.isfinite(col).all():
+            raise NumericFaultError("non-finite values during finite differences", coordinate=i)
+        cols.append(col)
+    return np.stack(cols, axis=1)
+
+
+def finite_diff_gradient(loss_fn, theta: FlatParams, step: float) -> FlatParams:
+    """Central-difference gradient of a scalar function of FlatParams."""
+    J = finite_diff_jacobian(lambda v: [float(loss_fn(theta.with_values(v)))],
+                             theta.values, step)
+    return theta.with_values(J[0])

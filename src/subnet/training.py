@@ -88,10 +88,7 @@ def truncated_loss_and_grad(
             f"start indices must lie in [{m.lag}, {ds.n - T}]"
         )
     dsn = normalize_dataset(ds, m.norm)
-    try:
-        loss, grad = _loss_and_grad_normed(m, dsn.u, dsn.y, ns, T)
-    except NumericFaultError as e:
-        raise NumericFaultError("truncated loss failed", **e.context) from e
+    loss, grad = _loss_and_grad_normed(m, dsn.u, dsn.y, ns, T)
     return loss, FlatParams(grad, m.layout)
 
 
@@ -142,7 +139,6 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     seed: int = 0
-    mode: str = "ct"
     loss_target: str = "truncated"
     clip_norm: float | None = 10.0
     trainable: tuple[str, ...] = ("f", "h", "psi")
@@ -152,8 +148,8 @@ class TrainConfig:
             raise InvalidArgumentError("T, batch_size, patience, eval_every must be >= 1")
         if self.max_updates < 0:
             raise InvalidArgumentError("max_updates must be >= 0")
-        if self.mode not in ("ct", "dt") or self.loss_target not in ("truncated", "full"):
-            raise InvalidArgumentError("bad mode or loss_target")
+        if self.loss_target not in ("truncated", "full"):
+            raise InvalidArgumentError("loss_target must be 'truncated' or 'full'")
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise InvalidArgumentError("clip_norm must be positive or None")
         if not set(self.trainable) <= {"f", "h", "psi"}:
@@ -209,18 +205,14 @@ def train(
     ``patience`` evaluations pass without improvement, or after three
     consecutive numerically faulting batches.
     """
-    if cfg.mode != m0.mode:
-        raise InvalidArgumentError(f"config mode {cfg.mode!r} != model mode {m0.mode!r}")
     if cfg.loss_target == "full" and m0.psi_net.input_dim != 0:
         raise InvalidArgumentError(
             "loss_target='full' optimizes a free x0; use a constant (zero-input) encoder"
         )
-    if cfg.loss_target == "truncated":
-        indices = valid_start_indices(train_ds.n, cfg.T, m0.n_a, m0.n_b)
-        sampler = BatchSampler(indices, cfg.batch_size, np.random.default_rng(cfg.seed))
-        next_batch, T = sampler.sample_batch, cfg.T
-    else:  # one subsection spanning the record; x0 is the constant encoder's bias
-        next_batch, T = (lambda: np.zeros(1, np.int64)), train_ds.n
+    # the full target's one subsection spans the record, so its only start is 0
+    T = cfg.T if cfg.loss_target == "truncated" else train_ds.n
+    sampler = BatchSampler(valid_start_indices(train_ds.n, T, m0.n_a, m0.n_b),
+                           cfg.batch_size, np.random.default_rng(cfg.seed))
     if val_ds.n <= m0.lag:
         raise InvalidArgumentError("validation set too short for the encoder lag")
 
@@ -262,7 +254,7 @@ def train(
     while update < cfg.max_updates:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, g = _loss_and_grad_normed(model, dsn.u, dsn.y, next_batch(), T)
+                loss, g = _loss_and_grad_normed(model, dsn.u, dsn.y, sampler.sample_batch(), T)
             if not (np.isfinite(loss) and np.isfinite(g).all()):
                 raise NumericFaultError("non-finite loss or gradient", update=update)
             for sl in frozen:

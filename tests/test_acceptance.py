@@ -282,7 +282,7 @@ def test_criterion_8_reconstruction_oracle():
     z = 3
     m0 = _wrap_linear2_dt(cfg_l, n_lags=z, psi_seed=0)
     tc = TrainConfig(T=20, batch_size=32, max_updates=4000, eval_every=400,
-                     patience=999, seed=0, mode="dt", trainable=("psi",))
+                     patience=999, seed=0, trainable=("psi",))
     m_best, _ = train(m0, train_l, val_l, tc)
 
     system_l = make_system(cfg_l)

@@ -61,6 +61,21 @@ def test_parse_type_mismatch_has_path(tmp_path):
         parse_config(p)
 
 
+def test_parse_rejects_unknown_format_version(tmp_path):
+    p = _write(tmp_path, "c.json", {"format_version": 2, "command": "generate"})
+    with pytest.raises(ConfigError, match="format_version"):
+        parse_config(p)
+
+
+@pytest.mark.parametrize("section, key", [("data", "dt"), ("train", "lr")])
+def test_parse_rejects_infinity(tmp_path, section, key):
+    # json.dumps writes inf as Infinity, which Python's json reads back
+    doc = {"command": "train", "model": {"n_x": 2}, "data": {"dt": 0.5}, "train": {}}
+    doc[section][key] = float("inf")
+    with pytest.raises(ConfigError, match=f"{section}.{key}: Input should be a finite number"):
+        parse_config(_write(tmp_path, "c.json", doc))
+
+
 def test_parse_missing_referenced_path(tmp_path):
     p = _write(tmp_path, "c.json", {
         "command": "train",
@@ -97,7 +112,7 @@ def test_generate_writes_loadable_csvs(tmp_path):
 
 @pytest.mark.parametrize("params, key", [
     ({"k_1": 0.9}, "'k_1'"),
-    ({"k1": float("inf")}, "'k1'"),  # written as JSON Infinity
+    ({"k1": float("inf")}, "synthetic.params.k1"),  # written as JSON Infinity
 ])
 def test_generate_rejects_bad_params(tmp_path, capsys, params, key):
     out = tmp_path / "gen"

@@ -407,6 +407,16 @@ def test_generator_bit_equal_to_array_reference_through_both_clamps():
     assert (states[1:] == 0.0).any() and (states == 10.0).any()
 
 
+def test_linear2_outputs_bit_equal_to_per_row_dot():
+    # with c2 != 0 a whole-record ``states @ C`` rounds some rows differently from C @ x
+    cfg = SyntheticConfig(system="linear2", n_samples=400, dt=0.5, seed=12,
+                          params={"c1": 0.3, "c2": 1.7})
+    _, trace = generate_synthetic(cfg)
+    C = np.array([0.3, 1.7])
+    want = np.array([[C @ x] for x in trace.states])
+    assert trace.y_clean.tobytes() == want.tobytes()
+
+
 def test_generator_linear2_general_matrix_close_to_array_reference():
     # A @ x goes through BLAS, which may round the two products differently
     # from the explicit scalar sum: equal to within a few ulps, not bit for bit

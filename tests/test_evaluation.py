@@ -8,6 +8,7 @@ from subnet.data import (
     NormStats,
     SyntheticConfig,
     SyntheticSystem,
+    fit_normalizer,
     generate_synthetic,
     make_system,
 )
@@ -19,6 +20,7 @@ from subnet.errors import (
 )
 from subnet.evaluation import (
     ProbeResult,
+    SweepCell,
     evaluate_model,
     nrmse,
     reconstruct_oracle,
@@ -33,7 +35,7 @@ from subnet.evaluation import (
 from subnet.model import SubnetModel, constant_psi, init_model
 from subnet.nnmath import MLPParams
 from subnet.ode import SolverConfig
-from subnet.training import TrainConfig
+from subnet.training import TrainConfig, train
 
 IDENT = NormStats.identity(1, 1)
 
@@ -277,6 +279,21 @@ def test_tau_sweep_single_cell_equals_plain_run():
     assert len(cells) == 1
     direct = run_cell(train_ds, val_ds, test_ds, 0.25, 3, tc, 2, 2, 2, hidden=(6,))
     assert cells[0] == direct  # bitwise reproducible cell
+
+
+def test_tau_sweep_dt_mode_equals_hand_built_cell():
+    train_ds, val_ds, test_ds = _tiny_splits()
+    tc = TrainConfig(T=8, batch_size=8, max_updates=60, eval_every=20, patience=20, seed=0)
+    [cell] = tau_sweep(train_ds, val_ds, test_ds, [0.25], [3], tc, 2, 2, 2, hidden=(6,),
+                       method="euler", substeps=2, mode="dt")
+    solver = SolverConfig("euler", 2, train_ds.dt / 0.25, train_ds.dt)
+    m0 = init_model(2, 1, 1, 2, 2, solver, fit_normalizer(train_ds), mode="dt",
+                    hidden=(6,), seed=3)
+    best, hist = train(m0, train_ds, val_ds, dataclasses.replace(tc, seed=3))
+    assert best.mode == "dt"
+    report = evaluate_model(best, test_ds)
+    assert cell == SweepCell(0.25, 3, report.rms_x, report.rms_f, report.rmse,
+                             hist.best_val_rmse)
 
 
 def test_tau_sweep_accepts_generators():

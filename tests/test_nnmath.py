@@ -11,6 +11,7 @@ from subnet.nnmath import (
     adam_init,
     adam_step,
     finite_diff_gradient,
+    finite_diff_jacobian,
     mlp_backward,
     mlp_backward_cached,
     mlp_forward,
@@ -322,3 +323,18 @@ def test_finite_diff_product():
     theta = FlatParams(np.array([2.0, 5.0]), mlp_init([1, 1], False, 0).layout)
     g = finite_diff_gradient(lambda f: float(f.values[0] * f.values[1]), theta, 1e-6)
     assert np.allclose(g.values, [5.0, 2.0], atol=1e-8)
+
+
+def test_finite_diff_jacobian_linear_map():
+    A = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, -1.5]])
+    J = finite_diff_jacobian(lambda x: A @ x, np.array([0.3, -1.0, 2.0]), 1e-6)
+    assert J.shape == (2, 3)
+    assert np.allclose(J, A, atol=1e-9)
+
+
+def test_finite_diff_jacobian_names_nonfinite_coordinate():
+    # only perturbing x[1] downwards reaches the pole of 1 / x[1]
+    fn = lambda x: np.array([x[0] + x[2], 1.0 / x[1] if x[1] != 0.0 else np.inf])
+    with pytest.raises(NumericFaultError, match="coordinate=1") as info:
+        finite_diff_jacobian(fn, np.array([1.0, 1e-6, 2.0]), 1e-6)
+    assert info.value.context == {"coordinate": 1}

@@ -206,8 +206,6 @@ def test_train_best_checkpoint_invariants():
 def test_train_validates_config_vs_model():
     ds = _toy(1)
     m0 = _toy_model(ds)
-    with pytest.raises(InvalidArgumentError):
-        train(m0, ds, ds, TrainConfig(mode="dt"))
     with pytest.raises(InvalidArgumentError):  # full loss needs a constant encoder
         train(m0, ds, ds, TrainConfig(loss_target="full"))
     with pytest.raises(InvalidArgumentError):  # infeasible dataset

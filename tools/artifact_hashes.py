@@ -4,9 +4,13 @@
 
 ``SRC_DIR`` is the directory holding the ``subnet`` package (default: the
 ``src/`` next to this script).  To show that a change keeps its artifacts
-byte-identical, run the script once against the parent's sources (for example
-a ``git worktree`` of the parent commit) and once against the change, then
-``diff`` the two outputs.
+byte-identical, run the script once against the parent's sources and once
+against the change, then ``diff`` the two outputs.  Export the parent with
+``git archive`` (as ``tools/paired_bench.py`` does), which leaves no metadata
+in the checkout::
+
+    mkdir parent && git archive HEAD~1 src | tar -x -C parent
+    python tools/artifact_hashes.py parent/src > before.txt
 
 OpenBLAS is pinned to one thread before numpy loads, and the commands run in a
 temporary directory with relative paths, so ``effective_config.json`` does not
@@ -51,6 +55,8 @@ def _train(data=LIN_DATA, model=None, solver=None, train=None) -> dict:
 RUNS = [
     ("gen-lin-train", "generate", {"synthetic": _linear2(0)}, []),
     ("gen-lin-test", "generate", {"synthetic": _linear2(2)}, []),
+    ("gen-lin-c", "generate",
+     {"synthetic": {**_linear2(4), "params": {"c1": 0.3, "c2": 1.7}}}, []),
     ("gen-tanks", "generate",
      {"synthetic": {"system": "cascaded_tanks", "n_samples": 200, "dt": 4.0,
                     "input": "random_steps", "seed": 3, "noise_std": 0.01}}, []),
@@ -64,6 +70,9 @@ RUNS = [
     ("eval", "eval", {"data": LIN_DATA, "eval": {"model_path": "out/train-ct-rk4/model.json"}}, []),
     ("sweep-serial", "sweep-tau",
      {**_train(), "sweep": {"dt_over_tau": [0.1, 1.0], "seeds": [0, 1]}}, []),
+    ("sweep-dt", "sweep-tau",
+     {**_train(model={"mode": "dt"}), "sweep": {"dt_over_tau": [0.1, 1.0], "seeds": [0, 1]}},
+     []),
     ("sweep-threads2", "sweep-tau",
      {**_train(), "sweep": {"dt_over_tau": [0.1, 1.0], "seeds": [0, 1]}}, ["--threads", "2"]),
     ("ensemble-serial", "ensemble", {**_train(), "ensemble": {"seeds": [0, 1, 2]}}, []),
