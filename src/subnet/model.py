@@ -26,6 +26,7 @@ from .nnmath import (
     FlatParams,
     Layout,
     MLPParams,
+    folded_forward,
     mlp_backward_cached,
     mlp_forward,
     mlp_forward_cached,
@@ -233,21 +234,32 @@ def _sim_forward(m: SubnetModel, x0: Array, u_steps: Array, ns: Array, caches=No
     """Batched subsection rollout from the start indices ``ns``.
 
     x0: (B, n_x) initial states; u_steps: (B, T, n_u) normalized inputs.
-    Returns (states (B, T+1, n_x), outputs (B, T, n_y)).  When ``caches`` is a
-    list (training), ``h`` runs at every step and each step appends its
+    Returns (states (B, T+1, n_x), outputs (B, T, n_y)).
+
+    When ``caches`` is a list (training), ``f`` runs through
+    ``mlp_forward_cached``, ``h`` runs at every step, and each step appends its
     (h cache, step cache) pair for :func:`_sim_backward`, which walks them in
-    reverse.  Without it the loop only steps the state, and ``h`` runs
+    reverse.  This is the reference arithmetic.
+
+    Without it (free runs, validation, the smoothness probe) the loop only
+    steps the state, with an ``f`` that :func:`~subnet.nnmath.folded_forward`
+    builds from the current weights for this rollout alone, and ``h`` runs
     afterwards on the stacked states in blocks of :data:`ROW_BLOCK` rows, so
-    memory stays O(B*T).  The states are the same floats either way.  The
-    outputs differ from per-step ``h`` by a few ulps of BLAS rounding (the
-    tests bound it by 1e-12 x std; 1.7e-15 x std(y) is the most seen on an
-    8192-sample tanks free run) and the difference does not accumulate, since
-    ``h`` does not feed back into the state.  A fault names the step, the
-    start index of the first non-finite row and, in ct mode, the sub-step.
+    memory stays O(B*T).  Both sum the same products as the reference in
+    another order, so the states differ from it by a few ulps (at most 1.8e-15
+    on an 8192-sample tanks free run; a contracting ``f`` keeps the drift from
+    growing) and so do the outputs (1.9e-15 x std(y) there; ``h`` does not
+    feed back into the state).  The tests bound both by 1e-12 of the scale.
+    Training's gradients and updates never use this arithmetic; its
+    validation RMSE does, so a near tie could pick another best checkpoint.
+
+    A fault names the step, the start index of the first non-finite row and,
+    in ct mode, the sub-step.
     """
     B, T = u_steps.shape[0], u_steps.shape[1]
     states = np.empty((B, T + 1, m.n_x))
     outputs = np.empty((B, T, m.n_y))
+    f = folded_forward(m.f_net, m.n_x, B) if caches is None else None
     x = x0
     for k in range(T):
         states[:, k] = x
@@ -255,11 +267,14 @@ def _sim_forward(m: SubnetModel, x0: Array, u_steps: Array, ns: Array, caches=No
             outputs[:, k], hc = mlp_forward_cached(m.h_net, x)
         try:
             if m.mode == "dt":
-                x, sc = mlp_forward_cached(m.f_net, np.concatenate([x, u_steps[:, k]], axis=1))
+                if f is not None:
+                    x = f(x, u_steps[:, k])
+                else:
+                    x, sc = mlp_forward_cached(m.f_net, np.concatenate([x, u_steps[:, k]], axis=1))
                 if not np.isfinite(x).all():
                     raise state_fault(x)
-            elif caches is None:
-                x = mlp_ode_step_plain(m.f_net, x, u_steps[:, k], m.solver)
+            elif f is not None:
+                x = mlp_ode_step_plain(f, x, u_steps[:, k], m.solver)
             else:
                 x, sc = mlp_ode_step_cached(m.f_net, x, u_steps[:, k], m.solver)
         except NumericFaultError as e:

@@ -7,10 +7,12 @@ steps its two-state ground truth with its own RK4 loop on two float locals,
 which computes the same floats as this function followed by ``np.clip``,
 without numpy dispatch on 2-element arrays.)  The model's
 MLP derivative enters it through ``mlp_ode_step_plain`` (rollouts without
-gradients: free runs, ``simulate_subsection`` and the smoothness probe) and
-``mlp_ode_step_cached``, which also keeps every stage's activations so that
-``mlp_ode_step_backward`` can differentiate the whole step exactly
-(discretize-then-differentiate; no adjoints).
+gradients: free runs, ``simulate_subsection`` and the smoothness probe),
+which steps the rollout's :func:`~subnet.nnmath.folded_forward` of ``f``,
+and ``mlp_ode_step_cached``, which runs the reference kernels and keeps every
+stage's activations so that ``mlp_ode_step_backward`` can differentiate the
+whole step exactly (discretize-then-differentiate; no adjoints).  The two
+agree to a few ulps per step, not bit for bit.
 
 Only the ratio dt/tau enters the update, which the stage coefficients below
 preserve bit-exactly: halving dt and halving tau produce identical floats.
@@ -83,19 +85,13 @@ def state_fault(x: Array, **context) -> NumericFaultError:
 # --------------------------------------------------------------------------
 
 
-def _mlp_field(f_net: MLPParams, caches: list[MLPCache] | None = None):
-    """``f(x, u)`` for batched :func:`ode_step`; appends each stage's cache to ``caches``."""
-    def f(x: Array, u: Array) -> Array:
-        y, cache = mlp_forward_cached(f_net, np.concatenate([x, u], axis=1))
-        if caches is not None:
-            caches.append(cache)
-        return y
-    return f
+def mlp_ode_step_plain(f, x: Array, u: Array, cfg: SolverConfig) -> Array:
+    """One no-gradient step of a rollout: :func:`ode_step` of ``f``.
 
-
-def mlp_ode_step_plain(f_net: MLPParams, x: Array, u: Array, cfg: SolverConfig) -> Array:
-    """Batched :func:`ode_step` for an MLP derivative without gradient caches."""
-    return ode_step(_mlp_field(f_net), x, u, cfg)
+    ``f`` is the rollout's :func:`~subnet.nnmath.folded_forward` of the
+    model's derivative network, built once for the ``(B, n_x)`` batch ``x``.
+    """
+    return ode_step(f, x, u, cfg)
 
 
 def mlp_ode_step_cached(
@@ -107,7 +103,12 @@ def mlp_ode_step_cached(
     stage order: one per sub-step for Euler, four for RK4.
     """
     caches: list[MLPCache] = []
-    return ode_step(_mlp_field(f_net, caches), x, u, cfg), caches
+
+    def f(x: Array, u: Array) -> Array:
+        y, cache = mlp_forward_cached(f_net, np.concatenate([x, u], axis=1))
+        caches.append(cache)
+        return y
+    return ode_step(f, x, u, cfg), caches
 
 
 def _stage_backward(f_net, cache, g_k, n_x, acc) -> Array:

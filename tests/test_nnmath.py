@@ -12,6 +12,7 @@ from subnet.nnmath import (
     adam_step,
     finite_diff_gradient,
     finite_diff_jacobian,
+    folded_forward,
     mlp_backward,
     mlp_backward_cached,
     mlp_forward,
@@ -224,6 +225,55 @@ def test_kernels_bit_identical_to_textbook_form(net, B):
         assert np.array_equal(x, x_in) and np.array_equal(gy, gy_in)
         assert all(np.array_equal(a, b) for a, b in zip(hidden, hidden_in))
     assert np.array_equal(acc.values, acc_ref.values)
+
+
+def _magnitude(p, x):
+    """Per output, a bound on the sum of the magnitudes of its terms: the network
+    with |W|, |b| and |bypass| on |x| (tanh is odd and increasing)."""
+    a = np.abs(x)
+    for w, b in zip(p.weights[:-1], p.biases[:-1]):
+        a = np.tanh(a @ np.abs(w.T) + np.abs(b))
+    s = a @ np.abs(p.weights[-1].T) + np.abs(p.biases[-1])
+    return s if p.bypass is None else s + np.abs(x) @ np.abs(p.bypass)
+
+
+_FOLD_NETS = {
+    "0_hidden": lambda: mlp_init([3, 2], True, 5),
+    "0_hidden_no_bypass": lambda: mlp_init([3, 2], False, 6),
+    "1_hidden": lambda: mlp_init([3, 8, 2], True, 7),
+    "1_hidden_no_bypass": lambda: mlp_init([3, 8, 2], False, 8),
+    "2_hidden": lambda: mlp_init([3, 64, 64, 2], True, 9),
+    "2_hidden_no_bypass": lambda: mlp_init([3, 16, 8, 2], False, 10),
+    # the bypass-only f of the linear test models: zero weights, no hidden layer
+    "bypass_only": lambda: MLPParams((np.zeros((2, 3)),), (np.zeros(2),),
+                                     np.array([[0.9, 0.1], [-0.2, 0.8], [0.5, 0.0]])),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 3, 64])
+@pytest.mark.parametrize("net", sorted(_FOLD_NETS))
+def test_folded_forward_matches_mlp_forward(net, rows):
+    # the fold sums the same products in another order: every output lies within
+    # 8 ulps of the sum of its terms' magnitudes (1.5 is the most seen)
+    p = _FOLD_NETS[net]()
+    rng = np.random.default_rng(rows)
+    for b in p.biases:
+        b += rng.uniform(-1.0, 1.0, b.shape)
+    f = folded_forward(p, 2, rows)
+    ys = []
+    for _ in range(2):
+        x, u = rng.standard_normal((rows, 2)), 3.0 * rng.standard_normal((rows, 1))
+        x_in, u_in = x.copy(), u.copy()
+        xu = np.concatenate([x, u], axis=1)
+        y = f(x, u)
+        assert y.shape == (rows, 2)
+        bound = 8 * np.finfo(np.float64).eps * _magnitude(p, xu)
+        assert (np.abs(y - mlp_forward(p, xu)) <= bound).all()
+        assert np.array_equal(x, x_in) and np.array_equal(u, u_in)
+        ys.append((y, y.copy()))
+    # a call returns a new array: the first result survives the second call
+    (y1, y1_copy), (y2, _) = ys
+    assert not np.shares_memory(y1, y2) and np.array_equal(y1, y1_copy)
 
 
 # ---------------------------------------------------------------- parameter checks

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from subnet.errors import InvalidArgumentError, NumericFaultError
-from subnet.nnmath import MLPParams, mlp_init
+from subnet.nnmath import MLPParams, folded_forward, mlp_init
 from subnet.ode import (
     SolverConfig,
     mlp_ode_step_backward,
@@ -112,7 +112,7 @@ def test_mlp_step_gradients_match_fd(method, substeps):
         p = MLPParams.over(values, f_net.layout)
         x = x_start
         for k in range(6):
-            x = mlp_ode_step_plain(p, x, us[k], cfg)
+            x = mlp_ode_step_plain(folded_forward(p, 2, 1), x, us[k], cfg)
         return float(w @ x[0])
 
     x, caches = x0, []
@@ -167,7 +167,7 @@ def test_rollout_gradient_long_horizon():
         p = MLPParams.over(values, f_net.layout)
         xx = x0
         for k in range(64):
-            xx = mlp_ode_step_plain(p, xx, us[k], cfg)
+            xx = mlp_ode_step_plain(folded_forward(p, 1, 1), xx, us[k], cfg)
         return float(xx[0, 0])
 
     base = f_net.values.copy()

@@ -1,6 +1,7 @@
 """Run every CLI command on small generated data and print each artifact's sha256.
 
     python tools/artifact_hashes.py [SRC_DIR] > hashes.txt
+    python tools/artifact_hashes.py [SRC_DIR] --compare OTHER_SRC
 
 ``SRC_DIR`` is the directory holding the ``subnet`` package (default: the
 ``src/`` next to this script).  To show that a change keeps its artifacts
@@ -16,7 +17,17 @@ OpenBLAS is pinned to one thread before numpy loads, and the commands run in a
 temporary directory with relative paths, so ``effective_config.json`` does not
 depend on where the script runs.  ``run_info.json`` holds the wall time and is
 not hashed.  Each command's exit status is printed; a command that fails prints
-its status and the first line of its error instead of artifacts.
+its status and the first line of its error instead of artifacts.  ``--out DIR``
+runs the commands in ``DIR`` and keeps the artifacts there.
+
+``--compare OTHER_SRC`` says how far the artifacts of two source trees drift
+apart, for a change that sets out to change numerics.  It runs the commands
+once per tree, each tree in its own process, and prints one line per artifact:
+``identical``, the largest relative difference ``|a - b| / max(|a|, |b|)``
+over the numeric cells of a CSV or the numbers of a JSON file, or the first
+mismatch that is not a pair of finite numbers (text, a missing key, a
+different row count).  A command whose exit status differs between the trees
+is reported as such.
 """
 
 from __future__ import annotations
@@ -25,10 +36,14 @@ import os
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
+import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
+import math
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -112,9 +127,137 @@ def run_all() -> None:
                 print(f"  {p.name} {hashlib.sha256(p.read_bytes()).hexdigest()}")
 
 
-if __name__ == "__main__":
-    src = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parents[1] / "src"
-    sys.path.insert(0, str(src.resolve()))
+# --------------------------------------------------------------------------
+# drift between the artifacts of two trees
+# --------------------------------------------------------------------------
+
+
+def _rel(a: float, b: float) -> float:
+    return 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
+
+
+def _number(v) -> float | None:
+    """``v`` as a finite float (a CSV cell or a JSON number), else None."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+        return None
+    try:
+        x = float(v)
+    except ValueError:
+        return None
+    return x if math.isfinite(x) else None
+
+
+def _drift(pairs) -> str:
+    """The largest relative difference over ``(where, a, b)`` leaves and where it
+    is, or the first mismatch that is not a pair of finite numbers."""
+    worst, at = 0.0, None
+    for where, a, b in pairs:
+        if a == b:
+            continue
+        x, y = _number(a), _number(b)
+        if x is None or y is None:
+            return f"first mismatch at {where}: {a!r} != {b!r}"
+        if _rel(x, y) > worst:
+            worst, at = _rel(x, y), where
+    return f"max relative difference {worst:.3g}" + (f" at {at}" if at else "")
+
+
+def _csv_cells(a: str, b: str):
+    rows_a, rows_b = list(csv.reader(io.StringIO(a))), list(csv.reader(io.StringIO(b)))
+    header = rows_a[0] if rows_a else []
+    for i, (ra, rb) in enumerate(zip(rows_a, rows_b)):
+        if len(ra) != len(rb):
+            yield f"row {i}", f"{len(ra)} cells", f"{len(rb)} cells"
+            return
+        for j, (ca, cb) in enumerate(zip(ra, rb)):
+            name = header[j] if j < len(header) else j
+            yield f"row {i} column {name!r}", ca, cb
+    if len(rows_a) != len(rows_b):
+        yield "end", f"{len(rows_a)} rows", f"{len(rows_b)} rows"
+
+
+def _json_leaves(a, b, where="$"):
+    if isinstance(a, dict) and isinstance(b, dict):
+        if list(a) != list(b):
+            yield where, f"keys {list(a)}", f"keys {list(b)}"
+            return
+        for k in a:
+            yield from _json_leaves(a[k], b[k], f"{where}.{k}")
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            yield where, f"{len(a)} items", f"{len(b)} items"
+            return
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _json_leaves(x, y, f"{where}[{i}]")
+    else:
+        yield where, a, b
+
+
+def compare_artifact(a: Path, b: Path) -> str:
+    """One line on how far artifact ``b`` drifts from ``a``."""
+    da, db = a.read_bytes(), b.read_bytes()
+    if da == db:
+        return "identical"
+    ta, tb = da.decode("utf-8"), db.decode("utf-8")
+    if a.suffix == ".csv":
+        pairs = _csv_cells(ta, tb)
+    elif a.suffix == ".json":
+        pairs = _json_leaves(json.loads(ta), json.loads(tb))
+    else:
+        return "differs (neither CSV nor JSON)"
+    return _drift(pairs)
+
+
+def compare_outputs(out_a: Path, out_b: Path) -> list[str]:
+    """One line per artifact of every command's output directory under ``out_a``/``out_b``."""
+    lines = []
+    for name in sorted({p.name for p in out_a.iterdir()} | {p.name for p in out_b.iterdir()}):
+        files = {p.name for d in (out_a / name, out_b / name) if d.is_dir()
+                 for p in d.iterdir() if p.name not in SKIP}
+        for f in sorted(files):
+            pa, pb = out_a / name / f, out_b / name / f
+            if not (pa.exists() and pb.exists()):
+                lines.append(f"{name}/{f}: only in {'A' if pa.exists() else 'B'}")
+            else:
+                lines.append(f"{name}/{f}: {compare_artifact(pa, pb)}")
+    return lines
+
+
+def _statuses(listing: str) -> dict[str, str]:
+    return dict(line.split(": exit ", 1) for line in listing.splitlines()
+                if not line.startswith(" ") and ": exit " in line)
+
+
+def compare_trees(src_a: Path, src_b: Path) -> list[str]:
+    """Run the commands on each tree in its own process and report the drift."""
     with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)
+        runs = []
+        for tag, src in (("a", src_a), ("b", src_b)):
+            out = Path(tmp, tag)
+            out.mkdir()
+            listing = subprocess.run([sys.executable, str(Path(__file__).resolve()), str(src),
+                                      "--out", str(out)],
+                                     check=True, capture_output=True, text=True).stdout
+            runs.append((out / "out", _statuses(listing)))
+        (out_a, st_a), (out_b, st_b) = runs
+        lines = [f"{name}: exit {st_a.get(name)} (A) vs {st_b.get(name)} (B)"
+                 for name, _, _, _ in RUNS if st_a.get(name) != st_b.get(name)]
+        return lines + compare_outputs(out_a, out_b)
+
+
+if __name__ == "__main__":
+    ap = argparse.ArgumentParser(description="Hash, or compare, the artifacts of every CLI command.")
+    ap.add_argument("src", nargs="?", type=Path, default=Path(__file__).resolve().parents[1] / "src",
+                    help="directory holding the subnet package (default: this checkout's src/)")
+    ap.add_argument("--compare", type=Path, metavar="OTHER_SRC",
+                    help="report the drift of OTHER_SRC's artifacts from SRC's")
+    ap.add_argument("--out", type=Path, help="run in this directory and keep the artifacts")
+    args = ap.parse_args()
+    if args.compare is not None:
+        print("\n".join(compare_trees(args.src.resolve(), args.compare.resolve())))
+        sys.exit(0)
+    sys.path.insert(0, str(args.src.resolve()))
+    with contextlib.ExitStack() as stack:
+        os.chdir(args.out if args.out is not None
+                 else stack.enter_context(tempfile.TemporaryDirectory()))
         run_all()
