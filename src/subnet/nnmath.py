@@ -244,7 +244,8 @@ def folded_forward(p: MLPParams, n_x: int, rows: int):
     Each bias, and the bypass, is folded into its layer's matmul: a hidden
     layer is one ``np.dot`` of a ``[a | 1]`` buffer with ``[W_i.T; b_i]``, and
     the output layer one ``np.dot`` of ``[a | x | u | 1]`` with
-    ``[W_L.T; bypass; b_L]`` (without hidden layers, of ``[x | u | 1]`` with
+    ``[W_L.T; bypass; b_L]`` (without a bypass, of ``[a | 1]`` with
+    ``[W_L.T; b_L]``; without hidden layers, of ``[x | u | 1]`` with
     ``[W_L.T + bypass; b_L]``).  So the output sums the same products as
     :func:`mlp_forward` in another order, and differs from it by a few ulps.
     ``f`` writes ``x`` (``(rows, n_x)``) and ``u`` into preallocated buffers,
@@ -262,7 +263,7 @@ def folded_forward(p: MLPParams, n_x: int, rows: int):
     elif p.bypass is not None:
         out_mat = np.vstack([w_out, p.bypass, b_out])
         z = np.ones((rows, width + n_in + 1))
-        xin = z[:, width:]
+        xin = z[:, width:]  # the first layer reads the tail, so x and u are written once
     else:
         out_mat = np.vstack([w_out, b_out])
         z, xin = np.ones((rows, width + 1)), np.ones((rows, n_in + 1))

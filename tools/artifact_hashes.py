@@ -152,7 +152,7 @@ def _drift(pairs) -> str:
     is, or the first mismatch that is not a pair of finite numbers."""
     worst, at = 0.0, None
     for where, a, b in pairs:
-        if a == b:
+        if a == b or repr(a) == repr(b):  # the repr also matches NaN with NaN
             continue
         x, y = _number(a), _number(b)
         if x is None or y is None:
