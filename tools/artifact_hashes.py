@@ -132,10 +132,6 @@ def run_all() -> None:
 # --------------------------------------------------------------------------
 
 
-def _rel(a: float, b: float) -> float:
-    return 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
-
-
 def _number(v) -> float | None:
     """``v`` as a finite float (a CSV cell or a JSON number), else None."""
     if isinstance(v, bool) or not isinstance(v, (int, float, str)):
@@ -157,8 +153,9 @@ def _drift(pairs) -> str:
         x, y = _number(a), _number(b)
         if x is None or y is None:
             return f"first mismatch at {where}: {a!r} != {b!r}"
-        if _rel(x, y) > worst:
-            worst, at = _rel(x, y), where
+        rel = 0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
+        if rel > worst:
+            worst, at = rel, where
     return f"max relative difference {worst:.3g}" + (f" at {at}" if at else "")
 
 
@@ -257,7 +254,10 @@ if __name__ == "__main__":
         print("\n".join(compare_trees(args.src.resolve(), args.compare.resolve())))
         sys.exit(0)
     sys.path.insert(0, str(args.src.resolve()))
-    with contextlib.ExitStack() as stack:
-        os.chdir(args.out if args.out is not None
-                 else stack.enter_context(tempfile.TemporaryDirectory()))
+    if args.out is not None:
+        os.chdir(args.out)
         run_all()
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            run_all()
