@@ -26,7 +26,6 @@ from .nnmath import (
     FlatParams,
     Layout,
     MLPParams,
-    folded_forward,
     mlp_backward_cached,
     mlp_forward,
     mlp_forward_cached,
@@ -34,6 +33,7 @@ from .nnmath import (
 )
 from .ode import (
     SolverConfig,
+    fused_step,
     mlp_ode_step_backward,
     mlp_ode_step_cached,
     mlp_ode_step_plain,
@@ -242,14 +242,16 @@ def _sim_forward(m: SubnetModel, x0: Array, u_steps: Array, ns: Array, caches=No
     reverse.  This is the reference arithmetic.
 
     Without it (free runs, validation, the smoothness probe) the loop only
-    steps the state, with an ``f`` that :func:`~subnet.nnmath.folded_forward`
-    builds from the current weights for this rollout alone, and ``h`` runs
-    afterwards on the stacked states in blocks of :data:`ROW_BLOCK` rows, so
-    memory stays O(B*T).  Both sum the same products as the reference in
-    another order, so the states differ from it by a few ulps (at most 1.8e-15
-    on an 8192-sample tanks free run; a contracting ``f`` keeps the drift from
-    growing) and so do the outputs (1.9e-15 x std(y) there; ``h`` does not
-    feed back into the state).  The tests bound both by 1e-12 of the scale.
+    steps the state: ``ode.mlp_ode_step_plain`` with the
+    :func:`~subnet.ode.fused_step` built from the current weights for this
+    rollout alone, one call per sample interval in ct and dt mode alike.
+    ``h`` runs afterwards on the stacked states in blocks of
+    :data:`ROW_BLOCK` rows, so memory stays O(B*T).  Both sum the same
+    products as the reference in another order, so the states differ from it
+    by a few ulps (at most 4.9e-15 on an 8192-sample tanks free run; a
+    contracting ``f`` keeps the drift from growing) and so do the outputs
+    (5.2e-15 x std(y) there; ``h`` does not feed back into the state).  The
+    tests bound both by 1e-12 of the scale.
     Training's gradients and updates never use this arithmetic; its
     validation RMSE does, so a near tie could pick another best checkpoint.
 
@@ -259,22 +261,21 @@ def _sim_forward(m: SubnetModel, x0: Array, u_steps: Array, ns: Array, caches=No
     B, T = u_steps.shape[0], u_steps.shape[1]
     states = np.empty((B, T + 1, m.n_x))
     outputs = np.empty((B, T, m.n_y))
-    f = folded_forward(m.f_net, m.n_x, B) if caches is None else None
+    step = None
+    if caches is None:
+        step = fused_step(m.f_net, m.n_x, B, m.solver if m.mode == "ct" else None)
     x = x0
     for k in range(T):
         states[:, k] = x
         if caches is not None:
             outputs[:, k], hc = mlp_forward_cached(m.h_net, x)
         try:
-            if m.mode == "dt":
-                if f is not None:
-                    x = f(x, u_steps[:, k])
-                else:
-                    x, sc = mlp_forward_cached(m.f_net, np.concatenate([x, u_steps[:, k]], axis=1))
+            if step is not None:
+                x = mlp_ode_step_plain(step, x, u_steps[:, k])
+            elif m.mode == "dt":
+                x, sc = mlp_forward_cached(m.f_net, np.concatenate([x, u_steps[:, k]], axis=1))
                 if not np.isfinite(x).all():
                     raise state_fault(x)
-            elif f is not None:
-                x = mlp_ode_step_plain(f, x, u_steps[:, k], m.solver)
             else:
                 x, sc = mlp_ode_step_cached(m.f_net, x, u_steps[:, k], m.solver)
         except NumericFaultError as e:

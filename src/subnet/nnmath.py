@@ -14,8 +14,8 @@ shape ``(fan_out, fan_in)``.  The optional linear bypass has shape
 Flattened layout order is ``W0, b0, W1, b1, ..., bypass``, each ravelled
 row-major.
 
-The forward and backward kernels run at batch 1 in free runs, where numpy's
-per-call dispatch costs more than the arithmetic.  They compute exactly the
+The forward kernel also runs at batch 1 (a free run's encoder), where
+numpy's per-call dispatch costs more than the arithmetic.  They compute exactly the
 floats of the textbook ``@`` form above, but call ``np.dot`` (cheaper to
 dispatch than ``@``, same bits), ``np.add.reduce`` instead of ``sum``, and
 apply the bias add, tanh and bypass add in place on the product just
@@ -23,10 +23,10 @@ computed.  They never write into their inputs ``x`` and ``gy`` or into a
 cache, which the backward pass reads after the forward pass returns.  These
 kernels are the reference arithmetic, and training uses only them.
 
-Rollouts without gradients step the state derivative through
-:func:`folded_forward` instead, which folds each bias and the bypass into its
-layer's matmul: fewer numpy calls per evaluation, the same products summed in
-another order, so its outputs differ from the kernels' by a few ulps.
+Rollouts without gradients do not call these kernels for the state
+derivative: :func:`~subnet.ode.fused_step` folds the same weights, with each
+bias, the bypass and the solver's stage sums, into fewer and larger matmuls,
+whose outputs differ from the kernels' by a few ulps.
 """
 
 from __future__ import annotations
@@ -236,48 +236,6 @@ def mlp_backward_cached(p: MLPParams, cache: MLPCache, gy: Array, acc: MLPParams
         g_bypass += np.dot(x.T, gy)
         g += np.dot(gy, p.bypass.T)
     return g
-
-
-def folded_forward(p: MLPParams, n_x: int, rows: int):
-    """``f(x, u) = mlp_forward(p, [x | u])`` for a no-gradient rollout of ``rows`` rows.
-
-    Each bias, and the bypass, is folded into its layer's matmul: a hidden
-    layer is one ``np.dot`` of a ``[a | 1]`` buffer with ``[W_i.T; b_i]``, and
-    the output layer one ``np.dot`` of ``[a | x | u | 1]`` with
-    ``[W_L.T; bypass; b_L]`` (without a bypass, of ``[a | 1]`` with
-    ``[W_L.T; b_L]``; without hidden layers, of ``[x | u | 1]`` with
-    ``[W_L.T + bypass; b_L]``).  So the output sums the same products as
-    :func:`mlp_forward` in another order, and differs from it by a few ulps.
-    ``f`` writes ``x`` (``(rows, n_x)``) and ``u`` into preallocated buffers,
-    never into its arguments, and returns a new array on every call.  The
-    matrices are copies: a change to ``p.values`` after this call does not
-    reach ``f``, so build it again for every rollout.
-    """
-    n_in = p.input_dim
-    hidden = [np.vstack([w.T, b]) for w, b in zip(p.weights[:-1], p.biases[:-1])]
-    w_out, b_out = p.weights[-1].T, p.biases[-1][None, :]
-    width = w_out.shape[0] if hidden else 0
-    if not hidden:
-        out_mat = np.vstack([w_out if p.bypass is None else w_out + p.bypass, b_out])
-        z = xin = np.ones((rows, n_in + 1))
-    elif p.bypass is not None:
-        out_mat = np.vstack([w_out, p.bypass, b_out])
-        z = np.ones((rows, width + n_in + 1))
-        xin = z[:, width:]  # the first layer reads the tail, so x and u are written once
-    else:
-        out_mat = np.vstack([w_out, b_out])
-        z, xin = np.ones((rows, width + 1)), np.ones((rows, n_in + 1))
-    mids = [np.ones((rows, w.shape[1] + 1)) for w in hidden[:-1]]
-    layers = list(zip([xin] + mids, hidden, [m[:, :-1] for m in mids] + [z[:, :width]]))
-    x_slot, u_slot = xin[:, :n_x], xin[:, n_x:n_in]
-
-    def f(x: Array, u: Array) -> Array:
-        x_slot[...] = x
-        u_slot[...] = u
-        for a, w, out in layers:
-            np.tanh(np.dot(a, w), out=out)
-        return np.dot(z, out_mat)
-    return f
 
 
 def mlp_forward(p: MLPParams, x) -> Array:

@@ -6,16 +6,18 @@ state-reconstruction oracle and the model alike.  (The synthetic generator
 steps its two-state ground truth with its own RK4 loop on two float locals,
 which computes the same floats as this function followed by ``np.clip``,
 without numpy dispatch on 2-element arrays.)  The model's
-MLP derivative enters it through ``mlp_ode_step_plain`` (rollouts without
-gradients: free runs, ``simulate_subsection`` and the smoothness probe),
-which steps the rollout's :func:`~subnet.nnmath.folded_forward` of ``f``,
-and ``mlp_ode_step_cached``, which runs the reference kernels and keeps every
-stage's activations so that ``mlp_ode_step_backward`` can differentiate the
-whole step exactly (discretize-then-differentiate; no adjoints).  The two
+MLP derivative enters it through ``mlp_ode_step_cached``, which runs the
+reference kernels and keeps every stage's activations so that
+``mlp_ode_step_backward`` can differentiate the whole step exactly
+(discretize-then-differentiate; no adjoints).  Rollouts without gradients
+(free runs, ``simulate_subsection`` and the smoothness probe) do not call
+:func:`ode_step`: they step through ``mlp_ode_step_plain`` with a
+:func:`fused_step`, which folds the network's biases and bypass and the
+solver's stage sums into the matmuls of a whole sample interval.  The two
 agree to a few ulps per step, not bit for bit.
 
-Only the ratio dt/tau enters the update, which the stage coefficients below
-preserve bit-exactly: halving dt and halving tau produce identical floats.
+Only the ratio dt/tau enters the update, which the stage coefficients of
+both preserve bit-exactly: halving dt and halving tau produce identical floats.
 """
 
 from __future__ import annotations
@@ -85,13 +87,100 @@ def state_fault(x: Array, **context) -> NumericFaultError:
 # --------------------------------------------------------------------------
 
 
-def mlp_ode_step_plain(f, x: Array, u: Array, cfg: SolverConfig) -> Array:
-    """One no-gradient step of a rollout: :func:`ode_step` of ``f``.
+def fused_step(f_net: MLPParams, n_x: int, rows: int, cfg: SolverConfig | None):
+    """``step(x, u)``: a whole no-gradient update of the ``(rows, n_x)`` state ``x``.
 
-    ``f`` is the rollout's :func:`~subnet.nnmath.folded_forward` of the
-    model's derivative network, built once for the ``(B, n_x)`` batch ``x``.
+    With a :class:`SolverConfig` the step is :func:`ode_step` of
+    ``f = mlp_forward(f_net, [x | u])``, all sub-steps included; with ``None``
+    it is the discrete-time update ``x+ = f(x, u)``.  Each bias, the bypass
+    and the solver's stage combinations are folded into the matmuls.  Every
+    stage ``s`` of a sub-step keeps one buffer row ``[a | x_s | u | 1 | x0]``:
+    ``a`` the last hidden layer's output, ``x_s`` the stage's state input and
+    ``x0`` the state at the start of the sub-step.  A hidden layer is one
+    ``np.dot`` of its input with ``[W_i.T; b_i]`` and ``np.tanh(..., out=)``
+    into the next buffer (the first reads the row's ``[x_s | u | 1]``).
+    ``f`` of a row is the row times ``M = [W_L.T; bypass; b_L; 0]`` (without
+    hidden layers ``[W_L.T + bypass; b_L; 0]``), and ``E`` picks its ``x0``.
+    So stage ``s + 1``'s input is one matmul of row ``s`` with
+    ``c_s (h/tau) M + E``, written into row ``s + 1``, and the new state one
+    matmul of all rows with ``[b_1 (h/tau) M + E; b_2 (h/tau) M; ...]``.
+    Every coefficient is built from the one ratio h/tau, so halving dt and
+    tau still gives identical floats.  The result sums the products of
+    :func:`ode_step` in another order and differs from it by a few ulps.
+
+    ``step`` writes ``u`` once per call, never writes its arguments and
+    returns a new array.  It raises :class:`NumericFaultError` as
+    :func:`ode_step` does (naming the sub-step in ct mode) when a sub-step
+    leaves the finite range.  The matrices are copies: a change to
+    ``f_net.values`` after this call does not reach ``step``, so build it
+    again for every rollout.
     """
-    return ode_step(f, x, u, cfg)
+    n_in = f_net.input_dim
+    hidden = [np.vstack([w.T, b]) for w, b in zip(f_net.weights[:-1], f_net.biases[:-1])]
+    w_out = f_net.weights[-1].T
+    bypass = np.zeros((n_in, n_x)) if f_net.bypass is None else f_net.bypass
+    x0_rows = np.zeros((n_x, n_x))
+    if hidden:
+        M = np.vstack([w_out, bypass, f_net.biases[-1], x0_rows])
+    else:
+        M = np.vstack([w_out + bypass, f_net.biases[-1], x0_rows])
+    width = M.shape[0] - n_in - 1 - n_x
+    E = np.zeros_like(M)
+    E[-n_x:] = np.eye(n_x)
+    if cfg is None:
+        substeps, stage_mats, out_mat = 1, [], M
+    else:
+        r = cfg.dt / cfg.substeps / cfg.tau
+        c, b = ((), (r,)) if cfg.method == "euler" else (
+            (r / 2.0, r / 2.0, r), (r / 6.0, r / 3.0, r / 3.0, r / 6.0))
+        substeps, stage_mats = cfg.substeps, [ci * M + E for ci in c]
+        out_mat = np.vstack([b[0] * M + E] + [bi * M for bi in b[1:]])
+    n_stages, n_row = len(stage_mats) + 1, M.shape[0]
+    z = np.zeros((rows, n_stages * n_row))
+    stages = z.reshape(rows, n_stages, n_row)
+    stages[:, :, width + n_in] = 1.0
+    x_slots = [stages[:, s, width:width + n_x] for s in range(n_stages)]
+    # (stages, rows, n) views, so that one assignment broadcasts a (rows, n) array
+    u_slots = stages[:, :, width + n_x:width + n_in].transpose(1, 0, 2)
+    x0_slots = stages[:, :, -n_x:].transpose(1, 0, 2)
+    mids = [np.ones((rows, w.shape[1] + 1)) for w in hidden[:-1]]
+    layers = [list(zip([stages[:, s, width:width + n_in + 1]] + mids, hidden,
+                       [m[:, :-1] for m in mids] + [stages[:, s, :width]]))
+              for s in range(n_stages)]
+    # np.dot is cheaper to dispatch than np.matmul (same bits) but rejects the
+    # strided out= of a buffer with more than one row
+    mul = np.dot if rows == 1 else np.matmul
+    feeds = list(zip(layers, [stages[:, s] for s in range(n_stages - 1)], stage_mats,
+                     x_slots[1:]))
+    x_first, last, n_out = x_slots[0], layers[-1], rows * n_x
+    dot, tanh = np.dot, np.tanh  # closure cells: cheaper to look up than module attributes
+
+    def step(x: Array, u: Array) -> Array:
+        u_slots[...] = u
+        for i in range(substeps):
+            x_first[...] = x
+            x0_slots[...] = x
+            for stage_layers, row, mat, x_next in feeds:
+                for a, w, out in stage_layers:
+                    tanh(dot(a, w), out=out)
+                mul(row, mat, out=x_next)
+            for a, w, out in last:
+                tanh(dot(a, w), out=out)
+            x = dot(z, out_mat)
+            if np.count_nonzero(np.isfinite(x)) < n_out:  # cheaper than .all()
+                raise state_fault(x) if cfg is None else state_fault(x, substep=i)
+        return x
+    return step
+
+
+def mlp_ode_step_plain(step, x: Array, u: Array) -> Array:
+    """One no-gradient step of a rollout: ``step(x, u)``.
+
+    ``step`` is the rollout's :func:`fused_step`, built once for the
+    ``(B, n_x)`` batch ``x``; this wrapper is the boundary that the benchmark
+    times, crossed once per sample interval in ct and dt mode alike.
+    """
+    return step(x, u)
 
 
 def mlp_ode_step_cached(

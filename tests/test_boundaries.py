@@ -4,9 +4,13 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from subnet import model
+from subnet.data import SyntheticConfig, fit_normalizer, generate_synthetic
 from subnet.evaluation import run_cell
-from subnet.model import model_flatten
+from subnet.model import init_model, model_flatten, simulate_free_run
+from subnet.ode import SolverConfig
 from subnet.training import TrainConfig, truncated_loss_and_grad
 
 
@@ -39,3 +43,18 @@ def test_benchmark_reads_resolve(toy_model, toy_dataset):
         assert isinstance(v, np.ndarray) and v.shape == (n,)
     inspect.signature(run_cell).bind(toy_dataset, toy_dataset, toy_dataset, 0.5, 0,
                                      TrainConfig(), 2, 5, 5, (8, 8), "euler", 4)
+
+
+@pytest.mark.parametrize("mode", ["ct", "dt"])
+def test_free_run_crosses_step_plain_once_per_sample(mode, monkeypatch):
+    # ode.step_plain times one whole no-gradient step: a free run of N samples
+    # crosses ode.mlp_ode_step_plain N - lag times, in ct and dt mode alike
+    ds, _ = generate_synthetic(SyntheticConfig(n_samples=60, seed=0))
+    m = init_model(2, 1, 1, 5, 5, SolverConfig("rk4", 2, 1.0, ds.dt), fit_normalizer(ds),
+                   mode=mode, hidden=(8,), seed=0)
+    calls = []
+    crossed = model.mlp_ode_step_plain
+    monkeypatch.setattr(model, "mlp_ode_step_plain",
+                        lambda *args: calls.append(1) or crossed(*args))
+    simulate_free_run(m, ds)
+    assert len(calls) == ds.n - m.lag

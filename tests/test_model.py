@@ -202,21 +202,42 @@ def test_generator_round_trip_wrapped_truth():
 @pytest.mark.parametrize("mode", ["ct", "dt"])
 def test_rollout_fault_names_step_and_start(mode, entry):
     ds, _ = generate_synthetic(SyntheticConfig(n_samples=200, seed=0))
-    m = init_model(2, 1, 1, 5, 5, SolverConfig("euler", 2, 1.0, ds.dt), fit_normalizer(ds),
-                   mode=mode, hidden=(8,), seed=0)
+    for method in ("euler", "rk4") if mode == "ct" else ("euler",):
+        m = init_model(2, 1, 1, 5, 5, SolverConfig(method, 2, 1.0, ds.dt), fit_normalizer(ds),
+                       mode=mode, hidden=(8,), seed=0)
+        values = m.values.copy()
+        values[m.segments["f"]] *= 1e6
+        m = model_with_values(m, values)
+        start = 10 if entry == "truncated_loss_and_grad" else 50
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericFaultError) as e:
+            if entry == "truncated_loss_and_grad":
+                truncated_loss_and_grad(m, ds, [10, 50, 90], 100)
+            else:
+                simulate_subsection(m, ds, 50, 100)
+        ctx = e.value.context
+        assert ctx["start"] == start and 0 <= ctx["step"] < 100, method
+        if mode == "ct":
+            assert 0 <= ctx["substep"] < 2
+        else:
+            assert "substep" not in ctx
+
+
+@pytest.mark.parametrize("mode", ["ct", "dt"])
+def test_no_gradient_rollout_fault_names_diverging_row(mode):
+    # a batch of three no-gradient rollouts whose second row overflows in its
+    # first step: the fault names that row's start index, not the batch's first
+    m = init_model(2, 1, 1, 5, 5, SolverConfig("rk4", 2, 1.0, 0.5), IDENT, mode=mode,
+                   hidden=(8,), seed=0)
     values = m.values.copy()
     values[m.segments["f"]] *= 1e6
     m = model_with_values(m, values)
-    start = 10 if entry == "truncated_loss_and_grad" else 50
+    x0 = np.array([[0.0, 0.0], [1e306, -1e306], [0.0, 0.0]])
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericFaultError) as e:
-        if entry == "truncated_loss_and_grad":
-            truncated_loss_and_grad(m, ds, [10, 50, 90], 100)
-        else:
-            simulate_subsection(m, ds, 50, 100)
+        _sim_forward(m, x0, np.zeros((3, 20, 1)), np.array([7, 19, 31]))
     ctx = e.value.context
-    assert ctx["start"] == start and 0 <= ctx["step"] < 100
+    assert (ctx["start"], ctx["step"]) == (19, 0)
     if mode == "ct":
-        assert 0 <= ctx["substep"] < 2
+        assert ctx["substep"] == 0
     else:
         assert "substep" not in ctx
 

@@ -12,13 +12,13 @@ from subnet.nnmath import (
     adam_step,
     finite_diff_gradient,
     finite_diff_jacobian,
-    folded_forward,
     mlp_backward,
     mlp_backward_cached,
     mlp_forward,
     mlp_forward_cached,
     mlp_init,
 )
+from subnet.ode import SolverConfig, fused_step, ode_step
 
 
 def rel_err(a, b, floor=1e-10):
@@ -250,30 +250,59 @@ _FOLD_NETS = {
 }
 
 
+# ct RK4 with 1 and 3 sub-steps, ct Euler with 4, and dt mode (no solver)
+_FOLD_SOLVERS = (SolverConfig("rk4", 1, 0.8, 0.4), SolverConfig("rk4", 3, 0.8, 1.2),
+                 SolverConfig("euler", 4, 0.8, 1.6), None)
+
+
+def _step_magnitude(p, x, u, cfg):
+    """Per state entry, a bound on the sum of the magnitudes of the terms one
+    fused step adds up: the solver run on |x| and |u| with :func:`_magnitude`."""
+    au = np.abs(u)
+    if cfg is None:
+        return _magnitude(p, np.concatenate([np.abs(x), au], axis=1))
+    r = cfg.dt / cfg.substeps / cfg.tau
+    c, b = ([], [1.0]) if cfg.method == "euler" else ([0.5, 0.5, 1.0], [1 / 6, 1 / 3, 1 / 3, 1 / 6])
+    m = np.abs(x)
+    for _ in range(cfg.substeps):
+        xs, total = m, m
+        for s, bs in enumerate(b):
+            k = _magnitude(p, np.concatenate([xs, au], axis=1))
+            total = total + bs * r * k
+            if s < len(c):
+                xs = m + c[s] * r * k
+        m = total
+    return m
+
+
 @pytest.mark.parametrize("rows", [1, 3, 64])
 @pytest.mark.parametrize("net", sorted(_FOLD_NETS))
 def test_folded_forward_matches_mlp_forward(net, rows):
-    # the fold sums the same products in another order: every output lies within
-    # 8 ulps of the sum of its terms' magnitudes (1.5 is the most seen)
+    # ode.fused_step folds biases, bypass and stage sums into the matmuls of a
+    # whole solver step: it sums the products of ode_step over mlp_forward in
+    # another order, so every new state lies within 8 ulps of the sum of its
+    # terms' magnitudes (2.5 here, 3.1 the most seen over other seeds)
     p = _FOLD_NETS[net]()
     rng = np.random.default_rng(rows)
     for b in p.biases:
         b += rng.uniform(-1.0, 1.0, b.shape)
-    f = folded_forward(p, 2, rows)
-    ys = []
-    for _ in range(2):
-        x, u = rng.standard_normal((rows, 2)), 3.0 * rng.standard_normal((rows, 1))
-        x_in, u_in = x.copy(), u.copy()
-        xu = np.concatenate([x, u], axis=1)
-        y = f(x, u)
-        assert y.shape == (rows, 2)
-        bound = 8 * np.finfo(np.float64).eps * _magnitude(p, xu)
-        assert (np.abs(y - mlp_forward(p, xu)) <= bound).all()
-        assert np.array_equal(x, x_in) and np.array_equal(u, u_in)
-        ys.append((y, y.copy()))
-    # a call returns a new array: the first result survives the second call
-    (y1, y1_copy), (y2, _) = ys
-    assert not np.shares_memory(y1, y2) and np.array_equal(y1, y1_copy)
+    f = lambda x, u: mlp_forward(p, np.concatenate([x, u], axis=1))
+    for cfg in _FOLD_SOLVERS:
+        step = fused_step(p, 2, rows, cfg)
+        xs = []
+        for _ in range(2):
+            x, u = rng.standard_normal((rows, 2)), 3.0 * rng.standard_normal((rows, 1))
+            x_in, u_in = x.copy(), u.copy()
+            y = step(x, u)
+            assert y.shape == (rows, 2)
+            ref = f(x, u) if cfg is None else ode_step(f, x, u, cfg)
+            bound = 8 * np.finfo(np.float64).eps * _step_magnitude(p, x, u, cfg)
+            assert (np.abs(y - ref) <= bound).all(), cfg
+            assert np.array_equal(x, x_in) and np.array_equal(u, u_in)
+            xs.append((y, y.copy()))
+        # a call returns a new array: the first result survives the second call
+        (y1, y1_copy), (y2, _) = xs
+        assert not np.shares_memory(y1, y2) and np.array_equal(y1, y1_copy)
 
 
 # ---------------------------------------------------------------- parameter checks

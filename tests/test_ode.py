@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from subnet.errors import InvalidArgumentError, NumericFaultError
-from subnet.nnmath import MLPParams, folded_forward, mlp_init
+from subnet.nnmath import MLPParams, mlp_init
 from subnet.ode import (
     SolverConfig,
+    fused_step,
     mlp_ode_step_backward,
     mlp_ode_step_cached,
     mlp_ode_step_plain,
@@ -84,6 +85,21 @@ def test_tau_time_equivalence_bitwise(method):
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_fused_step_tau_time_equivalence_bitwise(method):
+    # the fused step builds every coefficient from h/tau: double tau over dt
+    # equals the original tau over dt/2 bit for bit, step after step
+    p = mlp_init([3, 8, 2], True, 4)
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal((3, 1))
+    a = fused_step(p, 2, 3, SolverConfig(method, 3, 2.0, 0.8))
+    b = fused_step(p, 2, 3, SolverConfig(method, 3, 1.0, 0.4))
+    xa = xb = rng.standard_normal((3, 2))
+    for _ in range(5):
+        xa, xb = a(xa, u), b(xb, u)
+        assert np.array_equal(xa, xb)
+
+
 def test_ode_step_numeric_fault_carries_substep():
     exploder = lambda x, u: x * 1e200
     with pytest.raises(NumericFaultError) as e:
@@ -112,7 +128,7 @@ def test_mlp_step_gradients_match_fd(method, substeps):
         p = MLPParams.over(values, f_net.layout)
         x = x_start
         for k in range(6):
-            x = mlp_ode_step_plain(folded_forward(p, 2, 1), x, us[k], cfg)
+            x = mlp_ode_step_plain(fused_step(p, 2, 1, cfg), x, us[k])
         return float(w @ x[0])
 
     x, caches = x0, []
@@ -167,7 +183,7 @@ def test_rollout_gradient_long_horizon():
         p = MLPParams.over(values, f_net.layout)
         xx = x0
         for k in range(64):
-            xx = mlp_ode_step_plain(folded_forward(p, 1, 1), xx, us[k], cfg)
+            xx = mlp_ode_step_plain(fused_step(p, 1, 1, cfg), xx, us[k])
         return float(xx[0, 0])
 
     base = f_net.values.copy()
