@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Literal, Optional, Union
+from typing import Annotated, Literal, Optional, Union, get_type_hints
 
 import numpy as np
-from pydantic import BaseModel, ConfigDict, Field, NonNegativeInt, ValidationError
+from pydantic import (BaseModel, ConfigDict, Field, NonNegativeInt, PositiveInt, ValidationError,
+                      create_model)
 
 from . import evaluation as ev
 from .data import (
@@ -65,44 +67,42 @@ class DataSection(_Strict):
     val_fraction: float = Field(0.25, gt=0, lt=1)
 
 
-class SyntheticSection(_Strict):
-    system: Literal["cascaded_tanks", "linear2"] = "cascaded_tanks"
-    n_samples: int = Field(1024, ge=2)
-    dt: float = Field(4.0, gt=0)
-    input: Literal["multisine", "random_steps"] = "multisine"
-    seed: Optional[int] = Field(None, ge=0)
-    noise_std: float = Field(0.0, ge=0)
-    truth_substeps: int = Field(32, ge=10)
-    params: dict[str, float] = Field(default_factory=dict)
+def _section(name: str, dc, omit=(), keys={}, **wrap) -> type[_Strict]:
+    """The fields of the dataclass ``dc`` less ``omit``, in order, with their defaults and
+    metadata limits.  ``keys`` renames a field's JSON key; ``wrap[field] = (fn, default)``
+    makes the limited type ``t`` ``fn(t)``, with ``default``."""
+    hints, fields = get_type_hints(dc), {}
+    for f in dataclasses.fields(dc):
+        if f.name in omit:
+            continue
+        lim = dict(f.metadata)
+        t = Literal[lim.pop("choices")] if "choices" in lim else hints[f.name]
+        fn, default = wrap.get(f.name, (lambda t: t, f.default))
+        if default is dataclasses.MISSING:
+            default = Field(default_factory=f.default_factory)
+        fields[keys.get(f.name, f.name)] = (fn(Annotated[t, Field(**lim)]), default)
+    return create_model(name, __base__=_Strict, **fields)
+
+
+# synthetic.seed None means the top-level seed
+SyntheticSection = _section("SyntheticSection", SyntheticConfig, keys={"input_kind": "input"},
+                            seed=(lambda t: Optional[t], None))
 
 
 class ModelSection(_Strict):
     n_x: int = Field(..., ge=1)
     n_a: int = Field(5, ge=0)
     n_b: int = Field(5, ge=0)
-    hidden: list[int] = Field(default_factory=lambda: [64, 64])
+    hidden: list[PositiveInt] = Field(default_factory=lambda: [64, 64])
     mode: Literal["ct", "dt"] = "ct"
     seed: Optional[int] = Field(None, ge=0)
 
 
-class SolverSection(_Strict):
-    method: Literal["euler", "rk4"] = "rk4"
-    substeps: int = Field(1, ge=1)
-    tau: Union[Literal["auto"], float] = "auto"
-
-
-class TrainSection(_Strict):
-    T: int = Field(30, ge=1)
-    batch_size: int = Field(64, ge=1)
-    max_updates: int = Field(50_000, ge=0)
-    eval_every: int = Field(100, ge=1)
-    patience: int = Field(20, ge=1)
-    lr: float = Field(1e-3, gt=0)
-    beta1: float = Field(0.9, gt=0, lt=1)
-    beta2: float = Field(0.999, gt=0, lt=1)
-    eps: float = Field(1e-8, gt=0)
-    clip_norm: Optional[float] = Field(10.0, gt=0)
-    loss_target: Literal["truncated", "full"] = "truncated"
+# dt comes from the data; tau "auto" is 1 / suggest_tau(training data)
+SolverSection = _section("SolverSection", SolverConfig, omit=("dt",),
+                         tau=(lambda t: Union[Literal["auto"], t], "auto"))
+# seed is the top-level seed; every network is trained
+TrainSection = _section("TrainSection", TrainConfig, omit=("seed", "trainable"))
 
 
 class EvalSection(_Strict):
@@ -254,12 +254,9 @@ def _train_cfg(cfg: RunConfig) -> TrainConfig:
 
 
 def _synth_cfg(cfg: RunConfig) -> SyntheticConfig:
-    s = cfg.synthetic
-    return SyntheticConfig(
-        system=s.system, n_samples=s.n_samples, dt=s.dt, input_kind=s.input,
-        seed=cfg.seed if s.seed is None else s.seed,
-        noise_std=s.noise_std, truth_substeps=s.truth_substeps, params=dict(s.params),
-    )
+    s = cfg.synthetic.model_dump()
+    s.update(input_kind=s.pop("input"), seed=cfg.seed if s["seed"] is None else s["seed"])
+    return SyntheticConfig(**s)
 
 
 def _sweep(cfg: RunConfig, splits: tuple[Dataset, Dataset, Dataset], grid, seeds) -> list:

@@ -23,6 +23,7 @@ from .errors import (
     GenerationError,
     InvalidArgumentError,
     ParseError,
+    check_limits,
 )
 
 Array = np.ndarray
@@ -273,24 +274,17 @@ _INPUTS = ("multisine", "random_steps")
 class SyntheticConfig:
     """Recipe for one synthetic record (system, excitation, noise, solver grain)."""
 
-    system: str = "cascaded_tanks"
-    n_samples: int = 1024
-    dt: float = 4.0
-    input_kind: str = "multisine"
-    seed: int = 0
-    noise_std: float = 0.0
-    truth_substeps: int = 32
-    params: dict = field(default_factory=dict)
+    system: str = field(default="cascaded_tanks", metadata={"choices": tuple(_SYSTEMS)})
+    n_samples: int = field(default=1024, metadata={"ge": 2})
+    dt: float = field(default=4.0, metadata={"gt": 0})
+    input_kind: str = field(default="multisine", metadata={"choices": _INPUTS})
+    seed: int = field(default=0, metadata={"ge": 0})
+    noise_std: float = field(default=0.0, metadata={"ge": 0})
+    truth_substeps: int = field(default=32, metadata={"ge": 10})
+    params: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.system not in _SYSTEMS:
-            raise InvalidArgumentError(f"system must be one of {tuple(_SYSTEMS)}")
-        if self.input_kind not in _INPUTS:
-            raise InvalidArgumentError(f"input must be one of {_INPUTS}")
-        if self.n_samples < 2 or self.dt <= 0 or self.noise_std < 0:
-            raise InvalidArgumentError("need n_samples >= 2, dt > 0, noise_std >= 0")
-        if self.truth_substeps < 10:
-            raise InvalidArgumentError("truth_substeps must be >= 10")
+        check_limits(self)
         defaults = _SYSTEMS[self.system]
         for key, value in self.params.items():
             if key not in defaults:

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all subnet modules."""
+"""Exception hierarchy shared by all subnet modules, and the check of config field limits."""
+
+import dataclasses
+import operator
 
 
 class SubnetError(Exception):
@@ -45,3 +48,20 @@ class NoSolutionError(SubnetError, RuntimeError):
 
 class ConfigError(SubnetError, ValueError):
     """A run configuration file is malformed or references missing paths."""
+
+
+_LIMITS = {"choices": (lambda v, c: v in c, "one of"), "ge": (operator.ge, ">="),
+           "gt": (operator.gt, ">"), "lt": (operator.lt, "<")}
+
+
+def check_limits(obj) -> None:
+    """Raise :class:`InvalidArgumentError` naming the first dataclass field of ``obj``
+    outside its metadata's ``choices``, ``ge``, ``gt`` or ``lt`` (``None`` passes if annotated)."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if value is None and "None" in str(f.type):
+            continue
+        for key, bound in f.metadata.items():
+            holds, text = _LIMITS[key]
+            if not holds(value, bound):
+                raise InvalidArgumentError(f"{f.name} must be {text} {bound}, got {value!r}")

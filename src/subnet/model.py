@@ -37,7 +37,6 @@ from .ode import (
     mlp_ode_step_backward,
     mlp_ode_step_cached,
     mlp_ode_step_plain,
-    state_fault,
 )
 
 _NETS = ("f", "h", "psi")
@@ -86,6 +85,11 @@ class SubnetModel:
         _bind(self, np.concatenate([self.f_net.values, self.h_net.values, self.psi_net.values]))
 
     @property
+    def step_solver(self) -> SolverConfig | None:
+        """The solver of a ct-mode model; ``None`` (the update x+ = f(x, u)) in dt mode."""
+        return self.solver if self.mode == "ct" else None
+
+    @property
     def lag(self) -> int:
         return max(self.n_a, self.n_b)
 
@@ -128,6 +132,8 @@ def init_model(
     the full-sequence loss needs); f and h are the same as with any lags and
     the psi stream goes unused.
     """
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
     rng_f, rng_h, rng_psi = [np.random.default_rng(s)
                              for s in np.random.SeedSequence(seed).spawn(3)]
     f_net = mlp_init([n_x + n_u, *hidden, n_x], True, rng_f)
@@ -209,12 +215,6 @@ class EvalTrace:
     dt: float
 
 
-def _step_backward(m: SubnetModel, cache, g_next: Array, acc: MLPParams) -> Array:
-    if m.mode == "ct":
-        return mlp_ode_step_backward(m.f_net, cache, g_next, m.n_x, m.solver, acc)
-    return mlp_backward_cached(m.f_net, cache, g_next, acc)[:, :m.n_x]
-
-
 # Row limit of one network call when a pass without gradients evaluates a
 # network on many states at once (h after a rollout, f along a free run): it
 # bounds the activations held, 4096 x 64 floats = 2 MiB per hidden layer,
@@ -261,9 +261,7 @@ def _sim_forward(m: SubnetModel, x0: Array, u_steps: Array, ns: Array, caches=No
     B, T = u_steps.shape[0], u_steps.shape[1]
     states = np.empty((B, T + 1, m.n_x))
     outputs = np.empty((B, T, m.n_y))
-    step = None
-    if caches is None:
-        step = fused_step(m.f_net, m.n_x, B, m.solver if m.mode == "ct" else None)
+    step = None if caches is not None else fused_step(m.f_net, m.n_x, B, m.step_solver)
     x = x0
     for k in range(T):
         states[:, k] = x
@@ -272,12 +270,8 @@ def _sim_forward(m: SubnetModel, x0: Array, u_steps: Array, ns: Array, caches=No
         try:
             if step is not None:
                 x = mlp_ode_step_plain(step, x, u_steps[:, k])
-            elif m.mode == "dt":
-                x, sc = mlp_forward_cached(m.f_net, np.concatenate([x, u_steps[:, k]], axis=1))
-                if not np.isfinite(x).all():
-                    raise state_fault(x)
             else:
-                x, sc = mlp_ode_step_cached(m.f_net, x, u_steps[:, k], m.solver)
+                x, sc = mlp_ode_step_cached(m.f_net, x, u_steps[:, k], m.step_solver)
         except NumericFaultError as e:
             ctx = dict(e.context)
             start = int(ns[ctx.pop("row")])
@@ -298,7 +292,7 @@ def _sim_backward(m: SubnetModel, caches, g_outputs: Array,
     for k in range(g_outputs.shape[1] - 1, -1, -1):
         h_cache, step_cache = caches[k]
         if g_x is not None:
-            g_x = _step_backward(m, step_cache, g_x, f_acc)
+            g_x = mlp_ode_step_backward(m.f_net, step_cache, g_x, m.n_x, m.step_solver, f_acc)
         g_h = mlp_backward_cached(m.h_net, h_cache, g_outputs[:, k], h_acc)
         g_x = g_h if g_x is None else g_x + g_h
     if g_x is None:  # T == 0

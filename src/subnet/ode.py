@@ -14,7 +14,8 @@ reference kernels and keeps every stage's activations so that
 :func:`ode_step`: they step through ``mlp_ode_step_plain`` with a
 :func:`fused_step`, which folds the network's biases and bypass and the
 solver's stage sums into the matmuls of a whole sample interval.  The two
-agree to a few ulps per step, not bit for bit.
+agree to a few ulps per step, not bit for bit.  With ``cfg=None`` all three
+take the discrete-time update ``x+ = f(x, u)`` instead (a dt-mode model).
 
 Only the ratio dt/tau enters the update, which the stage coefficients of
 both preserve bit-exactly: halving dt and halving tau produce identical floats.
@@ -22,11 +23,11 @@ both preserve bit-exactly: halving dt and halving tau produce identical floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericFaultError
+from .errors import NumericFaultError, check_limits
 from .nnmath import Array, MLPCache, MLPParams, mlp_backward_cached, mlp_forward_cached
 
 _METHODS = ("euler", "rk4")
@@ -36,18 +37,13 @@ _METHODS = ("euler", "rk4")
 class SolverConfig:
     """Scheme, sub-steps per sample interval, time constant tau and sample period dt."""
 
-    method: str = "rk4"
-    substeps: int = 1
-    tau: float = 1.0
-    dt: float = 1.0
+    method: str = field(default="rk4", metadata={"choices": _METHODS})
+    substeps: int = field(default=1, metadata={"ge": 1})
+    tau: float = field(default=1.0, metadata={"gt": 0})
+    dt: float = field(default=1.0, metadata={"gt": 0})
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise InvalidArgumentError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if self.substeps < 1:
-            raise InvalidArgumentError("substeps must be >= 1")
-        if not (self.tau > 0 and self.dt > 0):
-            raise InvalidArgumentError("tau and dt must be positive")
+        check_limits(self)
 
 
 def ode_step(f, x, u, cfg: SolverConfig) -> Array:
@@ -184,12 +180,13 @@ def mlp_ode_step_plain(step, x: Array, u: Array) -> Array:
 
 
 def mlp_ode_step_cached(
-    f_net: MLPParams, x: Array, u: Array, cfg: SolverConfig
+    f_net: MLPParams, x: Array, u: Array, cfg: SolverConfig | None
 ) -> tuple[Array, list[MLPCache]]:
     """Batched :func:`ode_step` for an MLP derivative, caching every stage evaluation.
 
     ``x`` is ``(B, n_x)`` and ``u`` is ``(B, n_u)``.  The caches come back in
-    stage order: one per sub-step for Euler, four for RK4.
+    stage order: one per sub-step for Euler, four for RK4; one for ``cfg=None``,
+    the discrete-time update ``x+ = f(x, u)``, which checks finiteness as well.
     """
     caches: list[MLPCache] = []
 
@@ -197,7 +194,10 @@ def mlp_ode_step_cached(
         y, cache = mlp_forward_cached(f_net, np.concatenate([x, u], axis=1))
         caches.append(cache)
         return y
-    return ode_step(f, x, u, cfg), caches
+    x = f(x, u) if cfg is None else ode_step(f, x, u, cfg)
+    if cfg is None and not np.isfinite(x).all():
+        raise state_fault(x)
+    return x, caches
 
 
 def _stage_backward(f_net, cache, g_k, n_x, acc) -> Array:
@@ -207,14 +207,16 @@ def _stage_backward(f_net, cache, g_k, n_x, acc) -> Array:
 
 
 def mlp_ode_step_backward(
-    f_net: MLPParams, caches: list[MLPCache], g_next: Array, n_x: int, cfg: SolverConfig,
-    acc: MLPParams,
+    f_net: MLPParams, caches: list[MLPCache], g_next: Array, n_x: int,
+    cfg: SolverConfig | None, acc: MLPParams,
 ) -> Array:
-    """Reverse-mode pass through one cached ode step.
+    """Reverse-mode pass through one :func:`mlp_ode_step_cached` step (``cfg=None``: dt mode).
 
     ``g_next`` is dL/d(x after the step); returns dL/d(x before the step).
     Parameter gradients accumulate into the views of ``acc``.
     """
+    if cfg is None:
+        return _stage_backward(f_net, caches[0], g_next, n_x, acc)
     h = cfg.dt / cfg.substeps
     n_stages = 1 if cfg.method == "euler" else 4
     g = g_next

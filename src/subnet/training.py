@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import BatchSampler, Dataset, normalize_dataset, valid_start_indices, write_csv
-from .errors import DegenerateDataError, InvalidArgumentError, NumericFaultError
+from .errors import DegenerateDataError, InvalidArgumentError, NumericFaultError, check_limits
 from .model import (
     SubnetModel,
     _net_views,
@@ -129,29 +129,22 @@ def full_sim_loss(
 class TrainConfig:
     """Hyperparameters for one training run."""
 
-    T: int = 30
-    batch_size: int = 64
-    max_updates: int = 50_000
-    eval_every: int = 100
-    patience: int = 20
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    seed: int = 0
-    loss_target: str = "truncated"
-    clip_norm: float | None = 10.0
+    T: int = field(default=30, metadata={"ge": 1})
+    batch_size: int = field(default=64, metadata={"ge": 1})
+    max_updates: int = field(default=50_000, metadata={"ge": 0})
+    eval_every: int = field(default=100, metadata={"ge": 1})
+    patience: int = field(default=20, metadata={"ge": 1})
+    lr: float = field(default=1e-3, metadata={"gt": 0})
+    beta1: float = field(default=0.9, metadata={"gt": 0, "lt": 1})
+    beta2: float = field(default=0.999, metadata={"gt": 0, "lt": 1})
+    eps: float = field(default=1e-8, metadata={"gt": 0})
+    seed: int = field(default=0, metadata={"ge": 0})
+    clip_norm: float | None = field(default=10.0, metadata={"gt": 0})
+    loss_target: str = field(default="truncated", metadata={"choices": ("truncated", "full")})
     trainable: tuple[str, ...] = ("f", "h", "psi")
 
     def __post_init__(self):
-        if self.T < 1 or self.batch_size < 1 or self.patience < 1 or self.eval_every < 1:
-            raise InvalidArgumentError("T, batch_size, patience, eval_every must be >= 1")
-        if self.max_updates < 0:
-            raise InvalidArgumentError("max_updates must be >= 0")
-        if self.loss_target not in ("truncated", "full"):
-            raise InvalidArgumentError("loss_target must be 'truncated' or 'full'")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise InvalidArgumentError("clip_norm must be positive or None")
+        check_limits(self)
         if not set(self.trainable) <= {"f", "h", "psi"}:
             raise InvalidArgumentError(f"unknown network names in trainable: {self.trainable}")
 

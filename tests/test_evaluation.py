@@ -333,6 +333,14 @@ def test_tau_sweep_failures_become_nan_rows():
     assert np.isnan(cells[0].test_rmse) and cells[0].error != ""
 
 
+def test_tau_sweep_negative_seed_is_a_failed_cell():
+    train_ds, val_ds, test_ds = _tiny_splits()
+    tc = TrainConfig(T=8, batch_size=8, max_updates=20, eval_every=10, patience=20, seed=0)
+    [cell] = tau_sweep(train_ds, val_ds, test_ds, [0.25], [-1], tc, 2, 2, 2, hidden=(6,))
+    assert cell.seed == -1 and np.isnan(cell.test_rmse)
+    assert "seed must be >= 0, got -1" in cell.error
+
+
 def test_run_cell_fails_when_validation_never_finite():
     # at twice the suggested dt/tau this model free-runs to overflow on the validation
     # record, so no checkpoint ever had a finite validation RMSE

@@ -53,6 +53,11 @@ def test_init_model_without_lags_has_constant_zero_encoder():
     assert np.array_equal(m.values[m.segments["h"]], lagged.values[lagged.segments["h"]])
 
 
+def test_init_model_rejects_negative_seed():
+    with pytest.raises(InvalidArgumentError, match="seed must be >= 0, got -1"):
+        init_model(2, 1, 1, 2, 2, SolverConfig(), IDENT, hidden=(4,), seed=-1)
+
+
 # ---------------------------------------------------------------- windows
 
 

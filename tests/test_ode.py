@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from subnet.errors import InvalidArgumentError, NumericFaultError
-from subnet.nnmath import MLPParams, mlp_init
+from subnet.nnmath import MLPParams, mlp_forward, mlp_init
 from subnet.ode import (
     SolverConfig,
     fused_step,
@@ -115,11 +115,11 @@ def test_ode_step_numeric_fault_carries_substep():
 # -------------------------------------------------------- differentiable path
 
 
-@pytest.mark.parametrize("method,substeps", [("rk4", 1), ("rk4", 2), ("euler", 3)])
+@pytest.mark.parametrize("method,substeps", [("rk4", 1), ("rk4", 2), ("euler", 3), ("dt", 1)])
 def test_mlp_step_gradients_match_fd(method, substeps):
     rng = np.random.default_rng(3)
     f_net = mlp_init([3, 8, 2], True, 11)  # n_x=2, n_u=1
-    cfg = SolverConfig(method, substeps, 2.0, 0.5)
+    cfg = None if method == "dt" else SolverConfig(method, substeps, 2.0, 0.5)
     x0 = rng.standard_normal((1, 2))
     us = rng.standard_normal((6, 1, 1))
     w = rng.standard_normal(2)
@@ -159,6 +159,20 @@ def test_mlp_step_gradients_match_fd(method, substeps):
         fd_x[i] = (endpoint(base, hi) - endpoint(base, lo)) / 2e-6
     rel_x = np.abs(g[0] - fd_x) / np.maximum(1e-10, np.abs(fd_x))
     assert rel_x.max() <= 1e-5
+
+
+def test_dt_cached_step_is_the_network():
+    # without a solver config the cached step is x+ = f([x | u]), one cache per step
+    rng = np.random.default_rng(4)
+    f_net = mlp_init([3, 8, 2], True, 11)  # n_x=2, n_u=1
+    x, u = rng.standard_normal((4, 2)), rng.standard_normal((4, 1))
+    y, caches = mlp_ode_step_cached(f_net, x, u, None)
+    assert len(caches) == 1
+    assert np.array_equal(y, mlp_forward(f_net, np.concatenate([x, u], axis=1)))
+    x[2, 0] = np.nan
+    with pytest.raises(NumericFaultError) as e:
+        mlp_ode_step_cached(f_net, x, u, None)
+    assert e.value.context == {"row": 2}
 
 
 def test_rollout_gradient_long_horizon():
